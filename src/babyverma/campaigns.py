@@ -14,6 +14,7 @@ irreducibility where the size bound allows deciding it.
 """
 
 import csv
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,14 +36,10 @@ CSV_COLUMNS = [
     "millis",
 ]
 
-_ALG_CACHE = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _algebra(typ, rank):
-    key = (typ, rank)
-    if key not in _ALG_CACHE:
-        _ALG_CACHE[key] = ChevalleyAlgebra(RootSystem(typ, rank))
-    return _ALG_CACHE[key]
+    return ChevalleyAlgebra(RootSystem(typ, rank))
 
 
 def is_prime(p):
@@ -70,10 +67,10 @@ def check_sweep_params(typ, rank, p, I):
     return rs
 
 
-def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000, values=None):
+def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
     """One sweep row: build the induced module at lam and decide."""
     alg = _algebra(typ, rank)
-    chi = make_pchar(alg, p, I, values)
+    chi = make_pchar(alg, p, I)
     t0 = time.monotonic()
     row = {
         "type": typ,
@@ -135,11 +132,32 @@ def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
     }
 
 
-def _decide_if_small(mod, irr_cap, lines_cap):
-    if mod.dim > irr_cap:
-        return ""
-    rep = is_irreducible(mod, cap=lines_cap)
-    return "irreducible" if rep.irreducible else "reducible"
+def _pairings(r):
+    """Validated alcove pairings of an orbit's base weight."""
+    if len(r) < 2:
+        raise ValueError("need rank at least 2")
+    r = tuple(int(x) for x in r)
+    if any(x < 1 for x in r):
+        raise ValueError("entries of r must be positive")
+    return r
+
+
+def _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, irr_cap, lines_cap):
+    """One orbit row: fields, then the built module's dim against
+    expected_dim and, up to irr_cap, its verdict.  build=False leaves
+    dim and verdict empty and the row ok."""
+    t0 = time.monotonic()
+    dim = verdict = ""
+    if build:
+        mod = build_parabolic_baby_verma(alg, chi, lam, cap=cap)
+        dim = mod.dim
+        if dim <= irr_cap:
+            rep = is_irreducible(mod, cap=lines_cap)
+            verdict = "irreducible" if rep.irreducible else "reducible"
+    row = dict(fields, dim=dim, expected_dim=expected_dim, verdict=verdict)
+    row["ok"] = not build or (dim == expected_dim and verdict in ("", "irreducible"))
+    row["millis"] = int((time.monotonic() - t0) * 1000)
+    return row
 
 
 def subregular_block_a(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=True):
@@ -150,12 +168,8 @@ def subregular_block_a(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
     closed forms and predicted dimensions are checked, which keeps
     higher ranks affordable.
     """
+    r = _pairings(r)
     n = len(r)
-    if n < 2:
-        raise ValueError("need rank at least 2")
-    r = tuple(int(x) for x in r)
-    if any(x < 1 for x in r):
-        raise ValueError("entries of r must be positive")
     if sum(r) > p - 1:
         raise ValueError("sum of r must be at most p-1")
     rs = check_sweep_params("A", n, p, tuple(range(1, n)))
@@ -180,30 +194,13 @@ def subregular_block_a(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
                 "orbit weight %d: %r, expected %r" % (i, lam_rho, expect_rho)
             )
         expected_dim = head * p ** (npos - 1)
-        t0 = time.monotonic()
-        if build:
-            mod = build_parabolic_baby_verma(alg, chi, lam, cap=cap)
-            dim = mod.dim
-            verdict = _decide_if_small(mod, irr_cap, lines_cap)
-            ok = dim == expected_dim and verdict in ("", "irreducible")
-        else:
-            dim = ""
-            verdict = ""
-            ok = True
-        passed = passed and ok
-        dimsum += dim if build else expected_dim
-        rows.append(
-            {
-                "i": i,
-                "lambda": list(lam),
-                "lambda_plus_rho": list(lam_rho),
-                "dim": dim,
-                "expected_dim": expected_dim,
-                "verdict": verdict,
-                "ok": ok,
-                "millis": int((time.monotonic() - t0) * 1000),
-            }
+        fields = {"i": i, "lambda": list(lam), "lambda_plus_rho": list(lam_rho)}
+        row = _orbit_row(
+            fields, alg, chi, lam, expected_dim, build, cap, irr_cap, lines_cap
         )
+        passed = passed and row["ok"]
+        dimsum += row["dim"] if build else expected_dim
+        rows.append(row)
     sum_ok = dimsum == p**npos
     return {
         "campaign": "subregular-A",
@@ -227,12 +224,8 @@ def subregular_block_b(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
     carry no dimension claim and are skipped.  build=False checks the
     orbit closed forms only; ranks above 2 are too large to build.
     """
+    r = _pairings(r)
     n = len(r)
-    if n < 2:
-        raise ValueError("need rank at least 2")
-    r = tuple(int(x) for x in r)
-    if any(x < 1 for x in r):
-        raise ValueError("entries of r must be positive")
     if 2 * sum(r[: n - 1]) + r[n - 1] > p - 1:
         raise ValueError("2(r_1+..+r_{n-1}) + r_n must be at most p-1")
     rs = check_sweep_params("B", n, p, tuple(range(2, n + 1)))
@@ -285,32 +278,19 @@ def subregular_block_b(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
                 "row %d first component %d, expected %d" % (i, first, expect_first)
             )
         expected_dim = expect_first * p ** (npos - 1)
-        t0 = time.monotonic()
-        if build:
-            mod = build_parabolic_baby_verma(alg, chi, lam_p, cap=cap)
-            dim = mod.dim
-            verdict = _decide_if_small(mod, irr_cap, lines_cap)
-            ok = dim == expected_dim and verdict in ("", "irreducible")
-        else:
-            dim = ""
-            verdict = ""
-            ok = True
-        passed = passed and ok
-        rows.append(
-            {
-                "i": i,
-                "lambda": list(lam),
-                "lambda_primed": list(lam_p),
-                "lambda_primed_plus_rho": [x + 1 for x in lam_p],
-                "first_component": first,
-                "dim": dim,
-                "expected_dim": expected_dim,
-                "verdict": verdict,
-                "ok": ok,
-                "skipped": False,
-                "millis": int((time.monotonic() - t0) * 1000),
-            }
+        fields = {
+            "i": i,
+            "lambda": list(lam),
+            "lambda_primed": list(lam_p),
+            "lambda_primed_plus_rho": [x + 1 for x in lam_p],
+            "first_component": first,
+            "skipped": False,
+        }
+        row = _orbit_row(
+            fields, alg, chi, lam_p, expected_dim, build, cap, irr_cap, lines_cap
         )
+        passed = passed and row["ok"]
+        rows.append(row)
     return {
         "campaign": "subregular-B",
         "type": "B",

@@ -220,22 +220,13 @@ class ChevalleyAlgebra:
     def verify_jacobi(self):
         for a in self.basis:
             for b in self.basis:
-                ab = self.bracket(a, b)
                 for c in self.basis:
-                    acc = dict(self.bracket_combo(ab, {c: 1}))
-                    for k, v in self.bracket_combo(self.bracket(b, c), {a: 1}).items():
-                        n = acc.get(k, 0) + v
-                        if n:
-                            acc[k] = n
-                        elif k in acc:
-                            del acc[k]
-                    for k, v in self.bracket_combo(self.bracket(c, a), {b: 1}).items():
-                        n = acc.get(k, 0) + v
-                        if n:
-                            acc[k] = n
-                        elif k in acc:
-                            del acc[k]
-                    if acc:
+                    # [[a,b],c] + [[b,c],a] + [[c,a],b]
+                    acc = {}
+                    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+                        for k, n in self.bracket_combo(self.bracket(u, v), {w: 1}).items():
+                            acc[k] = acc.get(k, 0) + n
+                    if any(acc.values()):
                         raise AssertionError(
                             "Jacobi fails at (%s, %s, %s)"
                             % (basis_label(a), basis_label(b), basis_label(c))
@@ -307,13 +298,14 @@ class PChar:
     def chi_simple(self, i):
         return self.c.get(i, 0)
 
+    def at_root(self, g):
+        """chi(y_g) for a positive root g: chi_simple on simple roots,
+        zero on every other root."""
+        return self.chi_simple(g.index(1) + 1) if sum(g) == 1 else 0
+
 
 def make_pchar(alg, p, I, values=None):
     I = tuple(sorted(set(I)))
     if any(i < 1 or i > alg.rs.n for i in I):
         raise ValueError("I must be simple indices in 1..%d" % alg.rs.n)
     return PChar(p, I, values)
-
-
-def build_algebra(rs, sign_flip=False):
-    return ChevalleyAlgebra(rs, sign_flip=sign_flip)

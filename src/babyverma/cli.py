@@ -50,11 +50,10 @@ def _parse_root(label, rank):
     """Inverse of root_label: a1+2a2 -> (1, 2, 0, ...)."""
     c = [0] * rank
     for term in label.split("+"):
-        term = term.strip()
-        head, _, idx = term.partition("a")
-        if not idx:
+        head, _, idx = term.strip().partition("a")
+        if not idx or not 1 <= int(idx) <= rank:
             raise ValueError("bad root label %r" % label)
-        c[int(idx) - 1] = int(head) if head else 1
+        c[int(idx) - 1] += int(head) if head else 1
     return tuple(c)
 
 
@@ -87,6 +86,8 @@ def _expand_config(argv):
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
+                if key == "config":
+                    raise ValueError("config files cannot nest: %s" % argv[i + 1])
                 opt = "--" + key
                 if value.lower() == "true":
                     tokens.append(opt)
@@ -98,21 +99,19 @@ def _expand_config(argv):
     return argv
 
 
+# option dests whose flag is not the dest with dashes for underscores
+_FLAGS = {"lam": "lambda", "lam_rho": "lambda-rho"}
+
+
 def _save_config(args):
-    path = args.save_config
-    if not path:
-        return
-    skip = {"save_config", "config", "help", "func", "parser", "cmd", "sub"}
+    skip = {"save_config", "config", "func", "cmd", "sub"}
     lines = []
-    for action in args.parser._actions:
-        if not action.option_strings or action.dest in skip:
+    for dest, value in vars(args).items():
+        if dest in skip or value is None or value is False:
             continue
-        value = getattr(args, action.dest, None)
-        if value is None or value is False:
-            continue
-        key = action.option_strings[-1].lstrip("-")
+        key = _FLAGS.get(dest, dest.replace("_", "-"))
         lines.append("%s=%s" % (key, "true" if value is True else value))
-    with open(path, "w") as fh:
+    with open(args.save_config, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -121,26 +120,32 @@ def _algebra_from_args(args):
     return ChevalleyAlgebra(rs, sign_flip=getattr(args, "sign_flip", False))
 
 
-def cmd_check(args):
+def _module_from_args(args):
+    """The module check and dump matrix work on: induced from the Levi
+    head when --I is nonempty, else the baby Verma at chi = 0."""
     if not campaigns.is_prime(args.p):
         raise ValueError("p = %d is not prime" % args.p)
     alg = _algebra_from_args(args)
-    rs = alg.rs
     I = _parse_int_list(args.I)
-    lam = _resolve_lambda(args, rs.n)
-    if args.type == "A" and (rs.n + 1) % args.p == 0:
+    lam = _resolve_lambda(args, alg.rs.n)
+    if I:
+        chi = make_pchar(alg, args.p, I, _parse_chi(args.chi))
+        return build_parabolic_baby_verma(alg, chi, lam, cap=args.cap)
+    if args.chi:
+        raise ValueError("--chi needs a nonempty --I")
+    return build_baby_verma(alg, PChar(args.p, ()), lam, cap=args.cap)
+
+
+def cmd_check(args):
+    t0 = time.monotonic()
+    mod = _module_from_args(args)
+    I = _parse_int_list(args.I)
+    lam = mod.lam
+    if args.type == "A" and (args.rank + 1) % args.p == 0:
         print(
             "warning: p divides rank+1, the trace form is degenerate here",
             file=sys.stderr,
         )
-    t0 = time.monotonic()
-    if I:
-        chi = make_pchar(alg, args.p, I, _parse_chi(args.chi))
-        mod = build_parabolic_baby_verma(alg, chi, lam, cap=args.cap)
-    else:
-        if args.chi:
-            raise ValueError("--chi needs a nonempty --I")
-        mod = build_baby_verma(alg, PChar(args.p, ()), lam, cap=args.cap)
     rep = is_irreducible(mod, cap=args.lines_cap)
     millis = int((time.monotonic() - t0) * 1000)
     print(
@@ -238,36 +243,25 @@ def cmd_campaign(args):
 
 
 def cmd_dump(args):
-    alg = _algebra_from_args(args)
-    rs = alg.rs
     if args.sub == "brackets":
-        for line in alg.bracket_lines():
+        for line in _algebra_from_args(args).bracket_lines():
             print(line)
         return 0
-    I = _parse_int_list(args.I)
     if args.sub == "order":
-        for g in fix_order(rs, I):
+        for g in fix_order(RootSystem(args.type, args.rank), _parse_int_list(args.I)):
             print(root_label(g))
         return 0
-    if not campaigns.is_prime(args.p):
-        raise ValueError("p = %d is not prime" % args.p)
-    lam = _resolve_lambda(args, rs.n)
-    if I:
-        chi = make_pchar(alg, args.p, I, _parse_chi(args.chi))
-        mod = build_parabolic_baby_verma(alg, chi, lam, cap=args.cap)
-    else:
-        mod = build_baby_verma(alg, PChar(args.p, ()), lam, cap=args.cap)
+    mod = _module_from_args(args)
     gen = args.gen
-    if gen.startswith("h"):
-        key = ("h", int(gen[1:]))
-    elif ":" in gen:
+    if ":" in gen:
         kind, _, label = gen.partition(":")
-        key = (kind, _parse_root(label, rs.n))
     else:
-        kind, idx = gen[0], int(gen[1:])
-        key = (kind, rs.simple(idx))
-    if key[0] not in ("x", "y", "h"):
-        raise ValueError("generator must be one of x/y/h")
+        kind, label = gen[:1], "a" + gen[1:]
+    key = ("h", int(gen[1:])) if kind == "h" else (kind, _parse_root(label, mod.rs.n))
+    if key not in mod.alg.basis:
+        raise ValueError(
+            "generator %r is not a basis element of %s%d" % (gen, args.type, args.rank)
+        )
     mat = mod.op_matrix(key)
     triples = []
     for col, column in mat.items():
@@ -433,8 +427,6 @@ def main(argv=None):
         return 2
     parser, _ = build_parser()
     args = parser.parse_args(argv)
-    # remember which subparser produced the namespace for --save-config
-    args.parser = _find_subparser(parser, args)
     try:
         if getattr(args, "save_config", None):
             _save_config(args)
@@ -442,17 +434,6 @@ def main(argv=None):
     except (ValueError, CapExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-
-def _find_subparser(parser, args):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            child = action.choices[args.cmd]
-            for a2 in child._actions:
-                if isinstance(a2, argparse._SubParsersAction):
-                    return a2.choices[getattr(args, "sub")]
-            return child
-    return parser
 
 
 def entry():

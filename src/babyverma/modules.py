@@ -19,7 +19,7 @@ capped; hitting the cap raises instead of guessing.
 import itertools
 import random
 
-from .fplin import Echelon, addmul, apply_columns, nullspace, span_closure
+from .fplin import Echelon, addmul, apply_columns, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import Straightener, fix_order
 from .roots import levi_datum
@@ -108,11 +108,6 @@ class ModuleBase:
                 classes.setdefault(wt, {}).setdefault(kap, []).append(b)
             self._classes = classes
         return self._classes
-
-    def chi_of(self, g):
-        if sum(g) == 1:
-            return self.chi.chi_simple(g.index(1) + 1)
-        return 0
 
 
 class InducedModule(ModuleBase):
@@ -254,18 +249,9 @@ def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
 def build_baby_verma(alg, chi, lam, cap=50000, order=None):
     """Module induced from the one-dimensional weight space at lam over
     the full Borel, for any chi of standard Levi form."""
-    rs = alg.rs
-    lam = tuple(int(x) for x in lam)
-    if len(lam) != rs.n:
-        raise ValueError("weight must have %d coordinates" % rs.n)
     if order is None:
-        order = tuple(sorted(rs.roots, key=lambda g: (sum(g), g)))
-    if chi.p ** len(order) > cap:
-        raise CapExceeded(
-            "dimension %d exceeds cap %d" % (chi.p ** len(order), cap)
-        )
-    st = Straightener(alg, chi, order, TrivialLevi(lam))
-    return InducedModule(alg, chi, st)
+        order = sorted(alg.rs.roots, key=lambda g: (sum(g), g))
+    return build_parabolic_baby_verma(alg, chi, lam, cap, order, TrivialLevi(lam))
 
 
 # ---- irreducibility ----
@@ -282,21 +268,14 @@ def maximal_vectors(mod):
     """Joint kernel of the active raising operators, split by
     (weight mod p, drop mod p) component.  Returns a dict
     (wt, comp) -> list of kernel basis vectors in global coordinates."""
-    p = mod.p
     ops = mod.raising_ops()
     out = {}
     for wt, groups in mod.weight_classes().items():
         for kap, idxs in groups.items():
-            pos = {c: i for i, c in enumerate(idxs)}
-            eqs = {}
-            for t, op in enumerate(ops):
-                for c in idxs:
-                    col = op.get(c)
-                    if not col:
-                        continue
-                    for r, val in col.items():
-                        eqs.setdefault((t, r), {})[pos[c]] = val
-            vecs = nullspace(eqs.values(), len(idxs), p)
+            local = [
+                {i: col for i, c in enumerate(idxs) if (col := op.get(c))} for op in ops
+            ]
+            vecs = joint_kernel(local, len(idxs), mod.p)
             if vecs:
                 out[(wt, kap)] = [{idxs[i]: c for i, c in v.items()} for v in vecs]
     return out
@@ -336,12 +315,13 @@ class IrreducibilityReport:
         }
 
 
-def is_irreducible(mod, cap=10000):
-    """Exact irreducibility decision; raises CapExceeded if the number
-    of kernel lines to test exceeds cap."""
+def _kernel_lines(mod, cap):
+    """The kernel profile {(wt, comp): count}, and a generator of every
+    projective line (wt, vector) in each weight's joint kernel, weights
+    in sorted order.  Raises CapExceeded if there are more than cap
+    lines, before any is made."""
     p = mod.p
     mv = maximal_vectors(mod)
-    profile = {k: len(v) for k, v in mv.items()}
     by_wt = {}
     for (wt, kap), vecs in mv.items():
         by_wt.setdefault(wt, []).extend(vecs)
@@ -350,18 +330,29 @@ def is_irreducible(mod, cap=10000):
         total += (p ** len(vecs) - 1) // (p - 1)
     if total > cap:
         raise CapExceeded("%d kernel lines exceed cap %d" % (total, cap))
-    ops = mod.xy_ops()
-    lines = 0
-    for wt in sorted(by_wt):
-        vecs = by_wt[wt]
-        for coeffs in _projective_coeffs(p, len(vecs)):
-            lines += 1
-            v = {}
-            for c, basev in zip(coeffs, vecs):
-                addmul(v, basev, c, p)
-            if span_closure([v], ops, p, dim=mod.dim).rank() < mod.dim:
-                return IrreducibilityReport(False, mod, profile, v, wt, lines)
-    return IrreducibilityReport(True, mod, profile, None, None, lines)
+
+    def lines():
+        for wt in sorted(by_wt):
+            vecs = by_wt[wt]
+            for coeffs in _projective_coeffs(p, len(vecs)):
+                v = {}
+                for c, basev in zip(coeffs, vecs):
+                    addmul(v, basev, c, p)
+                yield wt, v
+
+    return {k: len(v) for k, v in mv.items()}, lines()
+
+
+def is_irreducible(mod, cap=10000):
+    """Exact irreducibility decision; raises CapExceeded if the number
+    of kernel lines to test exceeds cap."""
+    profile, lines = _kernel_lines(mod, cap)
+    checked = 0
+    for wt, v in lines:
+        checked += 1
+        if not generates(mod, v):
+            return IrreducibilityReport(False, mod, profile, v, wt, checked)
+    return IrreducibilityReport(True, mod, profile, None, None, checked)
 
 
 def radical(mod, cap=10000):
@@ -376,29 +367,11 @@ def radical(mod, cap=10000):
 
 
 def _radical_vectors(mod, cap):
-    p = mod.p
-    mv = maximal_vectors(mod)
-    by_wt = {}
-    for (wt, kap), vecs in mv.items():
-        by_wt.setdefault(wt, []).extend(vecs)
-    total = 0
-    for vecs in by_wt.values():
-        total += (p ** len(vecs) - 1) // (p - 1)
-    if total > cap:
-        raise CapExceeded("%d kernel lines exceed cap %d" % (total, cap))
-    ops = mod.xy_ops()
-    bad = []
-    for wt in sorted(by_wt):
-        vecs = by_wt[wt]
-        for coeffs in _projective_coeffs(p, len(vecs)):
-            v = {}
-            for c, basev in zip(coeffs, vecs):
-                addmul(v, basev, c, p)
-            if span_closure([v], ops, p, dim=mod.dim).rank() < mod.dim:
-                bad.append(v)
+    _, lines = _kernel_lines(mod, cap)
+    bad = [v for _, v in lines if not generates(mod, v)]
     if not bad:
         return []
-    sub = span_closure(bad, ops, p)
+    sub = span_closure(bad, mod.xy_ops(), mod.p)
     q = QuotientModule(mod, sub, check=False)
     out = [dict(r) for r in sub.basis()]
     for v in _radical_vectors(q, cap):
@@ -413,16 +386,12 @@ def head(mod, cap=10000):
 # ---- representation checks ----
 
 
-def _basis_keys(alg):
-    return list(alg.basis)
-
-
 def verify_commutators(mod, exhaustive_limit=700, samples=10000, seed=0):
     """Check rho([a,b]) = rho(a)rho(b) - rho(b)rho(a) on basis vectors.
     Exhaustive over all generator pairs and all basis vectors up to
     exhaustive_limit, sampled triples beyond."""
     p = mod.p
-    keys = _basis_keys(mod.alg)
+    keys = list(mod.alg.basis)
     if mod.dim <= exhaustive_limit:
         triples = (
             (a, b, c)
@@ -467,7 +436,7 @@ def verify_frobenius(mod, sample_limit=1500, seed=0):
     kinds = []
     for g in mod.rs.roots:
         kinds.append((("x", g), 0))
-        kinds.append((("y", g), pow(mod.chi_of(g), p, p)))
+        kinds.append((("y", g), pow(mod.chi.at_root(g), p, p)))
     for key, scalar in kinds:
         op = mod.op_matrix(key)
         for b in idxs:

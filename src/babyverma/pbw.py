@@ -178,12 +178,7 @@ class Straightener:
         self.m = len(self.order)
         self.levi = levi
         self.slot = {g: k for k, g in enumerate(self.order)}
-        self.chival = []
-        for g in self.order:
-            if sum(g) == 1:
-                self.chival.append(chi.chi_simple(g.index(1) + 1))
-            else:
-                self.chival.append(0)
+        self.chival = [chi.at_root(g) for g in self.order]
         self._fund = [self.rs.fund(g) for g in self.order]
         self._lm = {}
         self._act = {}

@@ -167,6 +167,25 @@ def test_dump_matrix_rejects_bad_generator(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("gen", ["x:a9", "h9", "x:a0", "x9", "y0", "x:2a1"])
+def test_dump_matrix_rejects_non_basis_generator(gen, capsys):
+    rc = main(
+        ["dump", "matrix", "--type", "A", "--rank", "2", "--p", "3", "--I", "1",
+         "--lambda", "0,0", "--gen", gen]
+    )
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_dump_matrix_chi_needs_levi(capsys):
+    rc = main(
+        ["dump", "matrix", "--type", "A", "--rank", "1", "--p", "5", "--I", "",
+         "--lambda", "0", "--chi", "1=2", "--gen", "h1"]
+    )
+    assert rc == 2
+    assert "--chi" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     rc = main(["selftest"])
     out = capsys.readouterr().out
@@ -206,3 +225,11 @@ def test_config_flags_after_file_win(tmp_path, capsys):
 def test_config_missing_file(capsys):
     rc = main(["check", "--config", "/nonexistent/path.cfg"])
     assert rc == 2
+
+
+def test_config_cannot_nest(tmp_path, capsys):
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text("type=A\nconfig=%s\n" % cfg)
+    rc = main(["check", "--config", str(cfg)])
+    assert rc == 2
+    assert "nest" in capsys.readouterr().err

@@ -300,6 +300,99 @@ def test_generates_detects_proper_submodule():
     assert generates(mod, {0: 1})
 
 
+def _profile(*rows):
+    return [{"weight": list(w), "component": list(k), "count": c} for w, k, c in rows]
+
+
+_B2_RADICAL_PIVOTS = (
+    [1, 3, 5, 7, 9] + list(range(10, 50)) + [53, 55, 57, 59, 60] + list(range(62, 70))
+    + [73, 75, 77, 78, 79, 83, 85, 87, 88, 89, 91, 93, 95, 97, 98, 99]
+    + [103, 105, 107, 109, 110] + list(range(112, 120))
+    + [123, 125, 127, 128, 129, 133, 135, 137, 138, 139, 148, 149]
+    + [153, 155, 157, 159, 160] + list(range(162, 170))
+    + [173, 175, 177, 178, 179, 183, 185, 187, 188, 189, 198, 199, 249]
+)
+
+# (module, to_dict(), witness_key, radical pivots), frozen from the
+# line-by-line search: which line is found first, and how many are
+# tested before it, are part of the report.
+REPORT_GOLDEN = [
+    (
+        lambda: build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1)),
+        {
+            "irreducible": False, "dim": 250, "p": 5, "lambda": [1, 1],
+            "profile": _profile(
+                ((0, 1), (1, 1), 1), ((1, 1), (0, 0), 1),
+                ((2, 2), (1, 3), 1), ((3, 2), (0, 2), 1),
+            ),
+            "witness": {"10": 1, "51": 1},
+            "lines_checked": 1,
+        },
+        (0, 1),
+        _B2_RADICAL_PIVOTS,
+    ),
+    (
+        lambda: build_baby_verma(A2, PChar(3, []), (0, 0)),
+        {
+            "irreducible": False, "dim": 27, "p": 3, "lambda": [0, 0],
+            "profile": _profile(
+                ((0, 0), (0, 0), 1), ((0, 0), (1, 2), 1), ((0, 0), (2, 1), 1),
+                ((1, 1), (0, 1), 1), ((1, 1), (1, 0), 1), ((1, 1), (2, 2), 1),
+            ),
+            "witness": {"15": 1, "4": 1},
+            "lines_checked": 10,
+        },
+        (0, 0),
+        list(range(1, 27)),
+    ),
+    (
+        lambda: build_baby_verma(A2, PChar(3, []), (1, 0)),
+        {
+            "irreducible": False, "dim": 27, "p": 3, "lambda": [1, 0],
+            "profile": _profile(
+                ((0, 2), (2, 0), 1), ((1, 0), (0, 0), 2), ((2, 1), (0, 1), 1),
+            ),
+            "witness": {"6": 1},
+            "lines_checked": 1,
+        },
+        (0, 2),
+        [1, 2] + list(range(4, 12)) + list(range(13, 27)),
+    ),
+    (
+        lambda: build_baby_verma(A1, PChar(5, []), (1,)),
+        {
+            "irreducible": False, "dim": 5, "p": 5, "lambda": [1],
+            "profile": _profile(((1,), (0,), 1), ((2,), (2,), 1)),
+            "witness": {"2": 1},
+            "lines_checked": 2,
+        },
+        (2,),
+        [2, 3, 4],
+    ),
+    (
+        lambda: build_parabolic_baby_verma(A2, _chi(A2, 5, (1,)), (0, 1)),
+        {
+            "irreducible": True, "dim": 50, "p": 5, "lambda": [0, 1],
+            "profile": _profile(((0, 1), (0, 0), 1), ((3, 2), (1, 0), 1)),
+            "witness": None,
+            "lines_checked": 2,
+        },
+        None,
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REPORT_GOLDEN)))
+def test_report_and_radical_golden(case):
+    build, report, witness_key, pivots = REPORT_GOLDEN[case]
+    mod = build()
+    rep = is_irreducible(mod)
+    assert rep.to_dict() == report
+    assert rep.witness_key == witness_key
+    assert radical(mod).pivots() == pivots
+
+
 def test_cap_exceeded_paths():
     with pytest.raises(CapExceeded):
         build_baby_verma(A2, PChar(3, []), (0, 0), cap=10)
