@@ -92,7 +92,7 @@ def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
         else:
             row["verdict"] = "reducible"
             row["witness_dim"] = span_closure(
-                [rep.witness], mod.xy_ops(), mod.p, dim=mod.dim
+                [rep.witness], mod.xy_ops(), mod.p, dim=mod.dim, grade=mod.grades()
             ).rank()
     except CapExceeded:
         row["verdict"] = "skipped"

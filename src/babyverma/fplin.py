@@ -130,22 +130,57 @@ def joint_kernel(ops, dim, p):
     return nullspace(eqs.values(), dim, p)
 
 
-def span_closure(seeds, ops, p, dim=None):
+def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
     """Smallest subspace containing seeds and stable under the column-form
-    operators. Early exit when the rank hits dim."""
-    ech = Echelon(p)
+    operators. Early exit when the rank hits dim.
+
+    grade, if given, maps each index to a key such that every operator
+    sends a vector supported on one key to a vector supported on one key.
+    The closure then keeps one echelon per key, so an insert reduces only
+    against the rows of its own key; every seed must be supported on a
+    single key (else ValueError).  The supports are disjoint and RREF is
+    unique, so the merged result equals the flat one.  stop, if given, is
+    an index: the closure returns as soon as e_stop lies in it."""
+    echs = {}
     queue = []
+    rank = 0
+
+    def insert(v):
+        # True once e_stop lies in the span; in RREF that is when its
+        # row is exactly e_stop
+        nonlocal rank
+        if grade is None:
+            key = None
+        elif not v:
+            return False
+        else:
+            key = grade[next(iter(v))]
+        ech = echs.get(key)
+        if ech is None:
+            ech = echs[key] = Echelon(p)
+        r = ech.insert(v)
+        if r is None:
+            return False
+        queue.append(r)
+        rank += 1
+        return stop is not None and ech.rows.get(stop) == {stop: 1}
+
+    done = False
     for s in seeds:
-        r = ech.insert(s)
-        if r is not None:
-            queue.append(r)
-    while queue:
-        if dim is not None and ech.rank() >= dim:
+        if grade is not None and len({grade[i] for i in s}) > 1:
+            raise ValueError("seed is not homogeneous for the grading")
+        done = insert(s) or done
+    while queue and not done:
+        if dim is not None and rank >= dim:
             break
         v = queue.pop()
         for op in ops:
-            w = apply_columns(op, v, p)
-            r = ech.insert(w)
-            if r is not None:
-                queue.append(r)
-    return ech
+            if insert(apply_columns(op, v, p)):
+                done = True
+                break
+    if len(echs) == 1:
+        return echs.popitem()[1]
+    out = Echelon(p)
+    for ech in echs.values():
+        out.rows.update(ech.rows)
+    return out

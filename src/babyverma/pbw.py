@@ -262,8 +262,15 @@ class Straightener:
                         out[(exps, l2)] = c % p
         else:
             rest = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+            sub = self._act.get((gkey, rest, l))
+            if sub is None:
+                # fill the lower exponents of slot j bottom-up, so the
+                # recursion stays one level deep in this slot
+                for a in range(1, exps[j] - 1):
+                    self.act(gkey, exps[:j] + (a,) + exps[j + 1 :], l)
+                sub = self.act(gkey, rest, l)
             out = {}
-            for (e1, l1), c1 in self.act(gkey, rest, l).items():
+            for (e1, l1), c1 in sub.items():
                 for e2, c2 in self.leftmul(j, e1).items():
                     _bump(out, (e2, l1), c1 * c2, p)
             for bkey, bc in self.alg.bracket(gkey, ("y", self.order[j])).items():

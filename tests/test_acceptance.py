@@ -17,9 +17,12 @@ from babyverma.campaigns import (
     verify_main_theorem,
 )
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
+from babyverma.fplin import span_closure
 from babyverma.modules import (
+    _kernel_lines,
     build_baby_verma,
     build_parabolic_baby_verma,
+    generates,
     is_irreducible,
     radical,
     verify_commutators,
@@ -122,7 +125,7 @@ def test_subregular_block_type_b():
     record("subregular-B", ok)
 
 
-def test_representation_correctness_zoo():
+def _zoo():
     zoo = []
     for p in (3, 5, 7):
         zoo.append(build_baby_verma(_alg("A", 1), PChar(p, []), (1,)))
@@ -152,11 +155,38 @@ def test_representation_correctness_zoo():
             _alg("D", 4), make_pchar(_alg("D", 4), 3, (1,)), (0, 0, 0, 0)
         )
     )
+    return zoo
+
+
+def test_representation_correctness_zoo():
+    zoo = _zoo()
     dims = [m.dim for m in zoo]
     ok = dims[-3:] == [125, 243, 729] and dims[-4] == 243
     for mod in zoo:
         ok = ok and verify_commutators(mod) and verify_frobenius(mod)
     record("rep-correctness", ok)
+
+
+def test_graded_closure_matches_flat_on_zoo():
+    """Differential check of the graded, early-exit closure used by
+    generates against the flat span_closure, the reference."""
+    reducible = 0
+    for mod in _zoo():
+        ops, p = mod.xy_ops(), mod.p
+        # the early exit rests on every module being cyclic on high
+        assert span_closure([{mod.high: 1}], ops, p, dim=mod.dim).rank() == mod.dim
+        _, lines = _kernel_lines(mod, 10000)
+        bad = []
+        for _, v in lines:
+            flat = span_closure([v], ops, p, dim=mod.dim).rank() == mod.dim
+            assert generates(mod, v) == flat
+            if not flat:
+                bad.append(v)
+        if bad:
+            reducible += 1
+            graded = span_closure(bad, ops, p, grade=mod.grades())
+            assert graded.rows == span_closure(bad, ops, p).rows
+    assert reducible == 4
 
 
 def test_oracle_equivalence():

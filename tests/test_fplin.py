@@ -119,3 +119,56 @@ def test_span_closure_early_exit():
     op = {j: {j + 1: 1} for j in range(9)}
     ech = span_closure([{0: 1}], [op], 5, dim=4)
     assert ech.rank() == 4
+
+
+def test_span_closure_stop_returns_partial_rank():
+    # shift chain e0 -> e1 -> ... -> e9: stop once e3 is reached
+    op = {j: {j + 1: 1} for j in range(9)}
+    ech = span_closure([{0: 1}], [op], 5, dim=10, stop=3)
+    assert ech.rank() == 4
+    assert ech.contains({3: 1})
+    # the same with a grading (index mod 2) that the shift moves between keys
+    grade = [j % 2 for j in range(10)]
+    ech = span_closure([{0: 1}], [op], 5, dim=10, grade=grade, stop=3)
+    assert ech.rank() == 4
+    assert ech.contains({3: 1})
+
+
+def test_span_closure_rejects_inhomogeneous_seed():
+    op = {j: {j + 1: 1} for j in range(3)}
+    with pytest.raises(ValueError):
+        span_closure([{0: 1, 1: 2}], [op], 5, grade=[0, 1, 0, 1])
+    # one homogeneous seed among several is not enough
+    with pytest.raises(ValueError):
+        span_closure([{0: 1, 2: 1}, {1: 1, 2: 1}], [op], 5, grade=[0, 1, 0, 1])
+
+
+def test_span_closure_graded_rows_equal_flat():
+    # operators on F_p^12 that move the grade i mod 3 by a fixed step
+    rng = random.Random(5)
+    p, n = 5, 12
+    grade = [i % 3 for i in range(n)]
+    proper = 0
+    for _ in range(30):
+        ops = []
+        for step in (1, 2):
+            op = {}
+            for i in range(n):
+                col = {}
+                for j in range(n):
+                    if (j - i) % 3 == step and rng.random() < 0.15:
+                        col[j] = rng.randrange(1, p)
+                if col:
+                    op[i] = col
+            ops.append(op)
+        g = rng.randrange(3)
+        seeds = [
+            {i: rng.randrange(1, p) for i in range(g, n, 3) if rng.random() < 0.5}
+            for _ in range(2)
+        ]
+        flat = span_closure(seeds, ops, p)
+        graded = span_closure(seeds, ops, p, grade=grade)
+        assert graded.rows == flat.rows
+        assert graded.pivots() == flat.pivots()
+        proper += 0 < flat.rank() < n
+    assert proper > 0

@@ -442,3 +442,18 @@ def test_norton_oracle_agreement():
         else:
             assert got == want
     assert undecided == 0
+
+
+def test_cold_straightening_is_not_recursion_bound():
+    # a cold cache at the top exponent used to recurse once per unit
+    mod = build_baby_verma(A1, PChar(997, []), (5,))
+    assert mod.act_basis(("x", (1,)), 996) == {995: 990}
+
+
+def test_a3_p7_dim_33614_decides():
+    # the 33 614-dimensional module that the flat closure cannot decide
+    # in reasonable time; the graded closure stops at the highest vector
+    A3 = ChevalleyAlgebra(RootSystem("A", 3))
+    mod = build_parabolic_baby_verma(A3, _chi(A3, 7, (1, 2)), (1, 1, 1))
+    rep = is_irreducible(mod)
+    assert (mod.dim, rep.irreducible, rep.lines_checked) == (33614, True, 6)
