@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .chevalley import ChevalleyAlgebra, make_pchar
@@ -67,12 +68,8 @@ def check_sweep_params(typ, rank, p, I):
     return rs
 
 
-def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
-    """One sweep row: build the induced module at lam and decide."""
-    alg = _algebra(typ, rank)
-    chi = make_pchar(alg, p, I)
-    t0 = time.monotonic()
-    row = {
+def _row(typ, rank, p, I, lam):
+    return {
         "type": typ,
         "rank": rank,
         "p": p,
@@ -83,6 +80,14 @@ def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
         "witness_dim": "",
         "millis": 0,
     }
+
+
+def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
+    """One sweep row: build the induced module at lam and decide."""
+    alg = _algebra(typ, rank)
+    chi = make_pchar(alg, p, I)
+    t0 = time.monotonic()
+    row = _row(typ, rank, p, I, lam)
     try:
         mod = build_parabolic_baby_verma(alg, chi, lam, cap=cap)
         row["dim"] = mod.dim
@@ -101,7 +106,16 @@ def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
 
 
 def _sweep_worker(task):
-    return analyze_weight(*task)
+    # one failing row must not abort the sweep: it becomes an error row
+    # and fails the campaign
+    try:
+        return analyze_weight(*task)
+    except Exception as exc:
+        row = _row(*task[:5])
+        row["verdict"] = "error"
+        row["error"] = "%s: %s" % (type(exc).__name__, exc)
+        row["traceback"] = traceback.format_exc()
+        return row
 
 
 def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
@@ -117,7 +131,7 @@ def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
     rows.sort(key=lambda r: r["lambda"])
     counts = {"irreducible": 0, "reducible": 0, "skipped": 0}
     for r in rows:
-        counts[r["verdict"]] += 1
+        counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1
     return {
         "campaign": "main-theorem",
         "type": typ,
@@ -128,7 +142,7 @@ def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
         "total": len(rows),
         "vacuous": not rows,
         "counts": counts,
-        "passed": counts["reducible"] == 0,
+        "passed": counts["reducible"] == 0 and "error" not in counts,
     }
 
 

@@ -192,6 +192,9 @@ def cmd_campaign(args):
                 "lambda=%s dim=%s %s (%d ms)"
                 % (row["lambda"], row["dim"], row["verdict"], row["millis"])
             )
+            if row["verdict"] == "error":
+                msg = "error: lambda=%s: %s" % (row["lambda"], row["error"])
+                print(msg, file=sys.stderr)
         if report["vacuous"]:
             print("sweep empty: no p-regular weights in the first alcove (vacuous pass)")
         print(

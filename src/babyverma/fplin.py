@@ -130,40 +130,71 @@ def joint_kernel(ops, dim, p):
     return nullspace(eqs.values(), dim, p)
 
 
+class GradedEchelon:
+    """Row space of vectors each supported on a single grade key, kept
+    as one Echelon per key, so an insert reduces only against the rows
+    of its own key.  grade maps each index to its key; grade=None keeps
+    one Echelon for every vector."""
+
+    def __init__(self, p, grade=None):
+        self.p = p
+        self.grade = grade
+        self.parts = {}
+
+    def part(self, vec):
+        """The Echelon of the nonzero vec's key, made on first use."""
+        key = None if self.grade is None else self.grade[next(iter(vec))]
+        ech = self.parts.get(key)
+        if ech is None:
+            ech = self.parts[key] = Echelon(self.p)
+        return ech
+
+    def insert(self, vec):
+        return self.part(vec).insert(vec)
+
+    def contains(self, vec):
+        return not vec or self.part(vec).contains(vec)
+
+    def echelon(self):
+        """The whole row space as one Echelon.  The supports of the
+        parts are disjoint and RREF is unique, so this equals the
+        Echelon of the same rows inserted flat."""
+        if len(self.parts) == 1:
+            return next(iter(self.parts.values()))
+        out = Echelon(self.p)
+        for ech in self.parts.values():
+            out.rows.update(ech.rows)
+        return out
+
+
 def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
     """Smallest subspace containing seeds and stable under the column-form
     operators. Early exit when the rank hits dim.
 
     grade, if given, maps each index to a key such that every operator
     sends a vector supported on one key to a vector supported on one key.
-    The closure then keeps one echelon per key, so an insert reduces only
-    against the rows of its own key; every seed must be supported on a
-    single key (else ValueError).  The supports are disjoint and RREF is
-    unique, so the merged result equals the flat one.  stop, if given, is
-    an index: the closure returns as soon as e_stop lies in it."""
-    echs = {}
+    The closure then keeps a GradedEchelon; every seed must be supported
+    on a single key (else ValueError).  The result equals the flat one.
+    stop, if given, is an index: the closure returns as soon as e_stop
+    lies in it."""
+    space = GradedEchelon(p, grade)
+    target = None if stop is None else {stop: 1}
     queue = []
     rank = 0
 
     def insert(v):
         # True once e_stop lies in the span; in RREF that is when its
-        # row is exactly e_stop
+        # row is exactly e_stop, and only v's own part has changed
         nonlocal rank
-        if grade is None:
-            key = None
-        elif not v:
+        if grade is not None and not v:
             return False
-        else:
-            key = grade[next(iter(v))]
-        ech = echs.get(key)
-        if ech is None:
-            ech = echs[key] = Echelon(p)
+        ech = space.part(v)
         r = ech.insert(v)
         if r is None:
             return False
         queue.append(r)
         rank += 1
-        return stop is not None and ech.rows.get(stop) == {stop: 1}
+        return target is not None and ech.rows.get(stop) == target
 
     done = False
     for s in seeds:
@@ -178,9 +209,4 @@ def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
             if insert(apply_columns(op, v, p)):
                 done = True
                 break
-    if len(echs) == 1:
-        return echs.popitem()[1]
-    out = Echelon(p)
-    for ech in echs.values():
-        out.rows.update(ech.rows)
-    return out
+    return space.echelon()

@@ -1,7 +1,9 @@
 """Finite-dimensional induced modules and their irreducibility.
 
 The central object is the induced module on the basis y^a (tensor) l:
-exponent tuples over the fixed u_J^- order times a base-module index.
+exponent tuples over the fixed u_J^- order times a base-module index,
+numbered as in pbw.Straightener, whose column tables are the module's
+action (act_basis) and operator matrices (op_matrix) alike.
 The base is either the one-dimensional weight space (when the Levi part
 of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, computed here as an explicit quotient
@@ -21,12 +23,16 @@ own weight.  Every module built here is cyclic on its highest vector,
 so the closure stops as soon as that vector is reached; only a line
 that fails to generate is closed to full rank.  This decides the
 33 614-dimensional A3 p=7 I={1,2} lambda=(1,1,1) module in seconds.
+
+The radical sums the closures of the non-generating kernel lines as it
+goes, skipping lines already in the sum, and checks on the way that the
+head is simple, which it relies on.
 """
 
 import itertools
 import random
 
-from .fplin import addmul, apply_columns, joint_kernel, span_closure
+from .fplin import GradedEchelon, addmul, apply_columns, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import Straightener, fix_order
 from .roots import levi_datum
@@ -131,8 +137,9 @@ class ModuleBase:
 
 
 class InducedModule(ModuleBase):
-    """Induced module on basis y^a (tensor) l, indexed lexicographically
-    in the exponent tuple, then by base index."""
+    """Induced module on basis y^a (tensor) l, with index
+    rank(a) * levi.dim + l: lexicographic in the exponent tuple, then by
+    base index (see Straightener)."""
 
     def __init__(self, alg, chi, st, active=None):
         self.alg = alg
@@ -142,37 +149,33 @@ class InducedModule(ModuleBase):
         self.st = st
         self.levi = st.levi
         self.m = st.m
-        self._exps = list(itertools.product(range(self.p), repeat=self.m))
-        self._rank = {e: i for i, e in enumerate(self._exps)}
-        self.dim = len(self._exps) * self.levi.dim
+        self.dim = self.p**self.m * self.levi.dim
         if active is None:
             active = tuple(range(1, self.rs.n + 1))
         self.active = tuple(active)
         self.high = self.index_of((0,) * self.m, self.levi.high)
-        self.lam = st.weight_int((0,) * self.m, self.levi.high)
+        self.lam = tuple(self.levi.weight(self.levi.high))
         self._cols = {}
         self._classes = None
         self._grades = None
 
     def index_of(self, exps, l):
-        return self._rank[exps] * self.levi.dim + l
+        return self.st.rank(exps) * self.levi.dim + l
 
     def vector_at(self, b):
-        return self._exps[b // self.levi.dim], b % self.levi.dim
+        r, l = divmod(b, self.levi.dim)
+        return self.st.exps(r), l
 
     def act_basis(self, key, b):
-        exps, l = self.vector_at(b)
-        return {
-            self.index_of(e, l2): c for (e, l2), c in self.st.act(key, exps, l).items()
-        }
+        """The straightener's column: shared with op_matrix, never to be
+        mutated."""
+        return self.st.act(key, b)
 
     def weight_int(self, b):
-        exps, l = self.vector_at(b)
-        return self.st.weight_int(exps, l)
+        return self.st.weight_int(b)
 
     def drop_int(self, b):
-        exps, l = self.vector_at(b)
-        return self.st.drop_int(exps, l)
+        return self.st.drop_int(b)
 
 
 class QuotientModule(ModuleBase):
@@ -303,15 +306,20 @@ def maximal_vectors(mod):
     return out
 
 
+def _line_closure(mod, vec):
+    # the closure of vec under the xy action, graded by weight and
+    # stopped once it holds mod.high
+    return span_closure(
+        [vec], mod.xy_ops(), mod.p, dim=mod.dim, grade=mod.grades(), stop=mod.high
+    )
+
+
 def generates(mod, vec):
     """Whether the weight-homogeneous vec generates mod.  Every module
     built here is cyclic on its highest vector (the base module is, and
     induction and quotients keep it), so vec generates exactly when
     mod.high lies in its closure; the closure stops once it does."""
-    ech = span_closure(
-        [vec], mod.xy_ops(), mod.p, dim=mod.dim, grade=mod.grades(), stop=mod.high
-    )
-    return ech.contains({mod.high: 1})
+    return _line_closure(mod, vec).contains({mod.high: 1})
 
 
 class IrreducibilityReport:
@@ -388,16 +396,35 @@ def radical(mod, cap=10000):
     """The unique maximal submodule, as an echelonized row space in
     global coordinates.  Relies on the head being simple (every vector
     outside the radical generates), which holds for the highest-weight
-    modules built here."""
+    modules built here; AssertionError if the non-generating kernel
+    lines are seen to generate together."""
     return span_closure(_radical_vectors(mod, cap), [], mod.p, grade=mod.grades())
 
 
 def _radical_vectors(mod, cap):
+    # The sum of the closures of the non-generating kernel lines, kept
+    # graded as it grows, then the same again in the quotient by it.  A
+    # sum of stable subspaces is stable, so each new closure joins by
+    # plain inserts, and a line already in the sum is skipped: its
+    # closure lies in the sum, which must not hold e_high (checked below).
     _, lines = _kernel_lines(mod, cap)
-    bad = [v for _, v in lines if not generates(mod, v)]
-    if not bad:
+    top = {mod.high: 1}
+    bad = GradedEchelon(mod.p, mod.grades())
+    for _, v in lines:
+        if bad.contains(v):
+            continue
+        sub = _line_closure(mod, v)
+        if sub.contains(top):
+            continue
+        for row in sub.basis():
+            bad.insert(row)
+    sub = bad.echelon()
+    if mod.high in sub.rows:
+        # the sum holds e_high, or its quotient would lose the highest
+        # vector: either way the head is not simple
+        raise AssertionError("head is not simple: non-generating lines reach the top")
+    if not sub.rows:
         return []
-    sub = span_closure(bad, mod.xy_ops(), mod.p, grade=mod.grades())
     q = QuotientModule(mod, sub, check=False)
     out = [dict(r) for r in sub.basis()]
     for v in _radical_vectors(q, cap):

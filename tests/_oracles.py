@@ -1,13 +1,19 @@
 """Independent cross-checks used by the tests.
 
-Nothing here reuses the straightening engine: the rank-one model is
-written down in closed form, and the randomized verdict below only
-needs the module's operator matrices, never its internal bookkeeping.
+The rank-one model is written down in closed form, and the randomized
+verdicts only need the module's operator matrices, never its internal
+bookkeeping.  Two slow paths of the engine are kept here as references
+for its fast ones: TupleStraightener, the recursive straightening on
+exponent tuples with per-call memos, for the integer column tables of
+pbw.Straightener; and radical_vectors_per_line, which closes every
+non-generating kernel line and then all of them together, for the
+running graded sum of modules._radical_vectors.
 """
 
 import random
 
 from babyverma.fplin import span_closure
+from babyverma.modules import QuotientModule, _kernel_lines, generates
 
 
 def sl2_matrices(p, lam, chival):
@@ -217,3 +223,140 @@ def norton_verdict(ops, dim, p, seed=0, tries=60, line_cap=700):
             if _generates(vec, tops, dim, p):
                 return True
     return None
+
+
+# ---- slow paths of the engine, kept as references ----
+
+
+def _bump(acc, key, val, p):
+    v = (acc.get(key, 0) + val) % p
+    if v:
+        acc[key] = v
+    elif key in acc:
+        del acc[key]
+
+
+class TupleStraightener:
+    """Left multiplication on the ordered basis y^a (tensor) l, keyed by
+    (exps, l) tuples and memoised per call."""
+
+    def __init__(self, alg, chi, order, levi):
+        self.alg = alg
+        self.p = chi.p
+        self.order = tuple(order)
+        self.levi = levi
+        self.slot = {g: k for k, g in enumerate(self.order)}
+        self.chival = [chi.at_root(g) for g in self.order]
+        self._fund = [alg.rs.fund(g) for g in self.order]
+        self._lm = {}
+        self._act = {}
+
+    def leftmul(self, k, exps):
+        key = (k, exps)
+        got = self._lm.get(key)
+        if got is not None:
+            return got
+        p = self.p
+        j = next((i for i, a in enumerate(exps) if a), None)
+        if j is None or k <= j:
+            a = exps[k]
+            if a + 1 < p:
+                out = {exps[:k] + (a + 1,) + exps[k + 1 :]: 1}
+            else:
+                c = self.chival[k]
+                out = {}
+                if c:
+                    out = {exps[:k] + (0,) + exps[k + 1 :]: pow(c, p, p)}
+        else:
+            base = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+            out = {}
+            for e1, c1 in self.leftmul(k, base).items():
+                for e2, c2 in self.leftmul(j, e1).items():
+                    _bump(out, e2, c1 * c2, p)
+            s = tuple(x + y for x, y in zip(self.order[k], self.order[j]))
+            if s in self.slot:
+                c = (-int(self.alg.nconst(self.order[k], self.order[j]))) % p
+                if c:
+                    for e2, c2 in self.leftmul(self.slot[s], base).items():
+                        _bump(out, e2, c * c2, p)
+        self._lm[key] = out
+        return out
+
+    def weight_int(self, exps, l):
+        w = list(self.levi.weight(l))
+        for k, a in enumerate(exps):
+            if a:
+                fk = self._fund[k]
+                for i in range(len(w)):
+                    w[i] -= a * fk[i]
+        return tuple(w)
+
+    def drop_int(self, exps, l):
+        d = list(self.levi.droproot(l))
+        for k, a in enumerate(exps):
+            if a:
+                g = self.order[k]
+                for i in range(len(d)):
+                    d[i] += a * g[i]
+        return tuple(d)
+
+    def act(self, gkey, exps, l):
+        """Action of a basis generator on the basis vector y^exps
+        (tensor) l, as a dict (exps', l') -> coefficient."""
+        p = self.p
+        if gkey[0] == "h":
+            c = self.weight_int(exps, l)[gkey[1] - 1] % p
+            return {(exps, l): c} if c else {}
+        key = (gkey, exps, l)
+        got = self._act.get(key)
+        if got is not None:
+            return got
+        j = next((i for i, a in enumerate(exps) if a), None)
+        if j is None:
+            typ, g = gkey
+            if g in self.slot:
+                if typ == "y":
+                    out = {
+                        (e, l): c for e, c in self.leftmul(self.slot[g], exps).items()
+                    }
+                else:
+                    out = {}
+            else:
+                out = {}
+                for l2, c in self.levi.act(gkey, l).items():
+                    if c % p:
+                        out[(exps, l2)] = c % p
+        else:
+            rest = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+            sub = self._act.get((gkey, rest, l))
+            if sub is None:
+                # fill the lower exponents of slot j bottom-up, so the
+                # recursion stays one level deep in this slot
+                for a in range(1, exps[j] - 1):
+                    self.act(gkey, exps[:j] + (a,) + exps[j + 1 :], l)
+                sub = self.act(gkey, rest, l)
+            out = {}
+            for (e1, l1), c1 in sub.items():
+                for e2, c2 in self.leftmul(j, e1).items():
+                    _bump(out, (e2, l1), c1 * c2, p)
+            for bkey, bc in self.alg.bracket(gkey, ("y", self.order[j])).items():
+                for (e2, l2), c2 in self.act(bkey, rest, l).items():
+                    _bump(out, (e2, l2), bc * c2, p)
+        self._act[key] = out
+        return out
+
+
+def radical_vectors_per_line(mod, cap=10000):
+    """Vectors spanning the radical: close every kernel line that does
+    not generate, then all of them together, then recurse into the
+    quotient by that closure."""
+    _, lines = _kernel_lines(mod, cap)
+    bad = [v for _, v in lines if not generates(mod, v)]
+    if not bad:
+        return []
+    sub = span_closure(bad, mod.xy_ops(), mod.p, grade=mod.grades())
+    q = QuotientModule(mod, sub, check=False)
+    out = [dict(r) for r in sub.basis()]
+    for v in radical_vectors_per_line(q, cap):
+        out.append(q.lift(v))
+    return out

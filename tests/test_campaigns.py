@@ -70,6 +70,26 @@ def test_main_theorem_worker_pool_matches_serial():
     assert strip(serial["rows"]) == strip(pooled["rows"])
 
 
+def test_main_theorem_records_error_row(monkeypatch):
+    from babyverma import campaigns
+
+    decide = campaigns.is_irreducible
+
+    def flaky(mod, *args, **kwargs):
+        if mod.lam == (1, 1):
+            raise RuntimeError("boom")
+        return decide(mod, *args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "is_irreducible", flaky)
+    rep = verify_main_theorem("A", 2, 5, (1,))
+    assert not rep["passed"]
+    assert rep["counts"] == {"irreducible": 5, "reducible": 0, "skipped": 0, "error": 1}
+    (bad,) = [r for r in rep["rows"] if r["verdict"] == "error"]
+    assert bad["lambda"] == "1,1" and bad["dim"] == ""
+    assert bad["error"] == "RuntimeError: boom"
+    assert "RuntimeError: boom" in bad["traceback"]
+
+
 def test_sweep_validation_errors():
     with pytest.raises(ValueError):
         verify_main_theorem("A", 2, 4, (1,))

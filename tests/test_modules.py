@@ -1,13 +1,16 @@
 """Induced modules: construction, action correctness, irreducibility."""
 
+import itertools
+
 import pytest
 
-from _oracles import norton_verdict, sl2_matrices
+from _oracles import norton_verdict, radical_vectors_per_line, sl2_matrices
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
-from babyverma.fplin import addmul
+from babyverma.fplin import addmul, span_closure
 from babyverma.modules import (
     CapExceeded,
     QuotientModule,
+    TableLevi,
     TrivialLevi,
     build_baby_verma,
     build_levi_simple,
@@ -457,3 +460,28 @@ def test_a3_p7_dim_33614_decides():
     mod = build_parabolic_baby_verma(A3, _chi(A3, 7, (1, 2)), (1, 1, 1))
     rep = is_irreducible(mod)
     assert (mod.dim, rep.irreducible, rep.lines_checked) == (33614, True, 6)
+
+
+def test_radical_matches_per_line_oracle():
+    # the running graded sum skips lines already in it; the reference
+    # closes every non-generating line, then all of them together
+    mods = [
+        build_baby_verma(alg, PChar(p, []), lam)
+        for alg, p in ((A2, 5), (B2, 3))
+        for lam in itertools.product(range(p), repeat=2)
+    ]
+    mods.append(build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1)))
+    for mod in mods:
+        vecs = radical_vectors_per_line(mod)
+        want = span_closure(vecs, [], mod.p, grade=mod.grades())
+        assert radical(mod).rows == want.rows
+
+
+def test_radical_rejects_non_simple_head():
+    # Z(2) + Z(2) for sl2 at p = 3, induced from two copies of the top
+    # weight: not cyclic, and its head L(2) + L(2) is not simple
+    levi = TableLevi([(2,), (2,)], [(0,), (0,)], {}, 0)
+    mod = build_parabolic_baby_verma(A1, PChar(3, []), (2,), order=((1,),), levi=levi)
+    assert mod.dim == 6
+    with pytest.raises(AssertionError, match="head is not simple"):
+        radical(mod)

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from _oracles import TupleStraightener
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
+from babyverma.modules import build_baby_verma, build_parabolic_baby_verma
 from babyverma.pbw import Straightener, fix_order
 from babyverma.roots import RootSystem, levi_datum
 
@@ -193,3 +195,49 @@ def test_leftmul_respects_brackets(typ, rank, I, p):
                 elif e2 in rhs:
                     del rhs[e2]
         assert lhs == rhs
+
+
+# ---- integer tables against the tuple-keyed reference ----
+
+# Borel and parabolic, types A-D, chi = 0 and chi != 0, trivial and
+# non-trivial Levi heads
+DIFF_ZOO = [
+    (build_baby_verma, "A", 2, 3, (), (1, 0)),
+    (build_baby_verma, "A", 2, 3, (1, 2), (0, 0)),
+    (build_baby_verma, "B", 2, 3, (), (1, 0)),
+    (build_parabolic_baby_verma, "B", 2, 5, (2,), (1, 1)),
+    (build_parabolic_baby_verma, "C", 3, 3, (1,), (0, 1, 0)),
+    (build_parabolic_baby_verma, "D", 4, 3, (1,), (0, 0, 0, 0)),
+    (build_parabolic_baby_verma, "A", 3, 3, (1, 2), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("build,typ,rank,p,I,lam", DIFF_ZOO)
+def test_integer_columns_match_tuple_oracle(build, typ, rank, p, I, lam):
+    alg = _alg(typ, rank)
+    mod = build(alg, make_pchar(alg, p, I), lam)
+    st = mod.st
+    ref = TupleStraightener(alg, mod.chi, st.order, mod.levi)
+
+    def want(key, b):
+        exps, l = mod.vector_at(b)
+        return {mod.index_of(e, l2): c for (e, l2), c in ref.act(key, exps, l).items()}
+
+    keys = list(mod.alg.basis)
+    random.Random(7).shuffle(keys)
+    # cold: keys in shuffled order, each from the top index down
+    for key in keys:
+        for b in reversed(range(mod.dim)):
+            assert mod.act_basis(key, b) == want(key, b), (key, b)
+    # a fresh module through op_matrix, the path the engine takes
+    fresh = build(alg, make_pchar(alg, p, I), lam)
+    for key in mod.alg.basis:
+        cols = {b: w for b in range(mod.dim) if (w := want(key, b))}
+        assert fresh.op_matrix(key) == cols, key
+    for b in range(mod.dim):
+        exps, l = mod.vector_at(b)
+        assert mod.weight_int(b) == ref.weight_int(exps, l)
+        assert mod.drop_int(b) == ref.drop_int(exps, l)
+    for k in range(st.m):
+        for exps in itertools.product(range(p), repeat=st.m):
+            assert st.leftmul(k, exps) == ref.leftmul(k, exps), (k, exps)
