@@ -128,7 +128,6 @@ def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]
-    rows.sort(key=lambda r: r["lambda"])
     counts = {"irreducible": 0, "reducible": 0, "skipped": 0}
     for r in rows:
         counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1

@@ -27,15 +27,6 @@ def addmul(acc, vec, c, p):
     return acc
 
 
-def scale(vec, c, p):
-    c %= p
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(vec)
-    return {k: (c * v) % p for k, v in vec.items()}
-
-
 def apply_columns(op, vec, p):
     """Image of vec under the operator given in column form."""
     out = {}

@@ -4,10 +4,9 @@ The central object is the induced module on the basis y^a (tensor) l:
 exponent tuples over the fixed u_J^- order times a base-module index,
 numbered as in pbw.Straightener, whose column tables are the module's
 action (act_basis) and operator matrices (op_matrix) alike.
-The base is either the one-dimensional weight space (when the Levi part
-of the weight vanishes mod p) or the simple head of the Levi's own
-restricted highest-weight module, computed here as an explicit quotient
-with action tables.
+The base is any module: the one-dimensional weight space (when the Levi
+part of the weight vanishes mod p) or the simple head of the Levi's own
+restricted highest-weight module, which is head() of that Verma module.
 
 Irreducibility is decided exactly: any nonzero submodule contains a
 nonzero vector killed by all active raising operators (repeated raising
@@ -35,7 +34,7 @@ import random
 from .fplin import GradedEchelon, addmul, apply_columns, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import Straightener, fix_order
-from .roots import levi_datum
+from .roots import LeviDatum
 
 
 class CapExceeded(Exception):
@@ -55,34 +54,14 @@ class TrivialLevi:
         self.dim = 1
         self.high = 0
 
-    def weight(self, l):
+    def weight_int(self, b):
         return self.lam
 
-    def droproot(self, l):
+    def drop_int(self, b):
         return (0,) * len(self.lam)
 
-    def act(self, key, l):
+    def act_basis(self, key, b):
         return {}
-
-
-class TableLevi:
-    """Base module with explicit action tables on a finite basis."""
-
-    def __init__(self, weights, drops, tables, high):
-        self.weights = list(weights)
-        self.drops = list(drops)
-        self.tables = tables
-        self.dim = len(self.weights)
-        self.high = high
-
-    def weight(self, l):
-        return self.weights[l]
-
-    def droproot(self, l):
-        return self.drops[l]
-
-    def act(self, key, l):
-        return self.tables.get(key, {}).get(l, {})
 
 
 # ---- module containers ----
@@ -154,7 +133,7 @@ class InducedModule(ModuleBase):
             active = tuple(range(1, self.rs.n + 1))
         self.active = tuple(active)
         self.high = self.index_of((0,) * self.m, self.levi.high)
-        self.lam = tuple(self.levi.weight(self.levi.high))
+        self.lam = self.levi.weight_int(self.levi.high)
         self._cols = {}
         self._classes = None
         self._grades = None
@@ -231,26 +210,15 @@ class QuotientModule(ModuleBase):
 
 def build_levi_simple(alg, p, I, lam):
     """Simple head of the Levi's restricted highest-weight module at
-    lam, as a base module for the parabolic induction."""
-    rs = alg.rs
-    ld = levi_datum(rs, I)
+    lam, as a base module for the parabolic induction: TrivialLevi when
+    it is one-dimensional, else head() of the Levi's Verma module."""
+    ld = LeviDatum(alg.rs, I)
     lam = tuple(int(x) for x in lam)
     if all(lam[j - 1] % p == 0 for j in ld.J):
         return TrivialLevi(lam)
     chi0 = PChar(p, ())
     st = Straightener(alg, chi0, ld.levi_roots, TrivialLevi(lam))
-    verma = InducedModule(alg, chi0, st, active=ld.J)
-    rad = radical(verma)
-    q = QuotientModule(verma, rad, check=False)
-    tables = {}
-    for g in ld.levi_roots:
-        for key in (("x", g), ("y", g)):
-            tables[key] = {l: q.act_basis(key, l) for l in range(q.dim)}
-    weights = [q.weight_int(l) for l in range(q.dim)]
-    drops = [q.drop_int(l) for l in range(q.dim)]
-    if q.high is None:
-        raise AssertionError("highest vector lost in the head quotient")
-    return TableLevi(weights, drops, tables, q.high)
+    return head(InducedModule(alg, chi0, st, active=ld.J))
 
 
 def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
@@ -262,9 +230,14 @@ def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
         raise ValueError("weight must have %d coordinates" % rs.n)
     if order is None:
         order = fix_order(rs, chi.I)
+    # the u_J^- part alone can exceed the cap: check it before the head,
+    # whose Levi Verma module can be larger still
+    dim = chi.p ** len(order)
+    if dim > cap:
+        raise CapExceeded("dimension at least %d exceeds cap %d" % (dim, cap))
     if levi is None:
         levi = build_levi_simple(alg, chi.p, chi.I, lam)
-    dim = chi.p ** len(order) * levi.dim
+    dim *= levi.dim
     if dim > cap:
         raise CapExceeded("dimension %d exceeds cap %d" % (dim, cap))
     st = Straightener(alg, chi, order, levi)
@@ -398,15 +371,16 @@ def radical(mod, cap=10000):
     outside the radical generates), which holds for the highest-weight
     modules built here; AssertionError if the non-generating kernel
     lines are seen to generate together."""
-    return span_closure(_radical_vectors(mod, cap), [], mod.p, grade=mod.grades())
+    return _radical_vectors(mod, cap).echelon()
 
 
 def _radical_vectors(mod, cap):
     # The sum of the closures of the non-generating kernel lines, kept
-    # graded as it grows, then the same again in the quotient by it.  A
-    # sum of stable subspaces is stable, so each new closure joins by
-    # plain inserts, and a line already in the sum is skipped: its
-    # closure lies in the sum, which must not hold e_high (checked below).
+    # graded as it grows, then the same again in the quotient by it,
+    # lifted into the sum.  A sum of stable subspaces is stable, so each
+    # new closure joins by plain inserts, and a line already in the sum
+    # is skipped: its closure lies in the sum, which must not hold
+    # e_high (checked below).
     _, lines = _kernel_lines(mod, cap)
     top = {mod.high: 1}
     bad = GradedEchelon(mod.p, mod.grades())
@@ -423,13 +397,11 @@ def _radical_vectors(mod, cap):
         # the sum holds e_high, or its quotient would lose the highest
         # vector: either way the head is not simple
         raise AssertionError("head is not simple: non-generating lines reach the top")
-    if not sub.rows:
-        return []
-    q = QuotientModule(mod, sub, check=False)
-    out = [dict(r) for r in sub.basis()]
-    for v in _radical_vectors(q, cap):
-        out.append(q.lift(v))
-    return out
+    if sub.rows:
+        q = QuotientModule(mod, sub, check=False)
+        for v in _radical_vectors(q, cap).echelon().basis():
+            bad.insert(q.lift(v))
+    return bad
 
 
 def head(mod, cap=10000):

@@ -11,14 +11,17 @@ basis enumeration, not the module.
 
 Straightener rewrites left multiplication by root vectors into the
 ordered basis y^a (tensor) l of the induced module, reducing p-th
-powers through the p-character.  It works on integer indices: a
-monomial by its mixed-radix rank, a basis vector by rank * levi.dim + l.
+powers through the p-character.  The base l runs over any module (dim,
+high, weight_int, drop_int, act_basis): the trivial one-dimensional
+weight space, or the Levi head, which is head() of the Levi's own Verma
+module.  It works on integer indices: a monomial by its mixed-radix
+rank, a basis vector by rank * levi.dim + l.
 Left multiplication by each slot is one table over ranks, and the
 action of each generator is one column table over indices, filled on
 first use and shared by every caller, operator matrices included.
 """
 
-from .roots import levi_datum
+from .roots import LeviDatum
 
 
 def _ones(n, t, j):
@@ -127,7 +130,7 @@ def _order_type_d_chain(rs, ld):
 def fix_order(rs, I):
     """Total order on the u_J^- roots as a tuple of coefficient
     tuples."""
-    ld = levi_datum(rs, I)
+    ld = LeviDatum(rs, I)
     u = list(ld.u_roots)
     if not u:
         return ()
@@ -160,10 +163,10 @@ class Straightener:
     """Left multiplication on the ordered basis y^a (tensor) l, on
     integer indices.
 
-    order fixes the u_J^- slots, levi supplies the finite base module
-    (weight, grading and action of the Levi root vectors on its own
-    basis).  A monomial y^a has rank a_0 p^(m-1) + ... + a_(m-1): mixed
-    radix p, slot 0 most significant.  The basis vector y^a (tensor) l
+    order fixes the u_J^- slots; levi is the finite base module, read
+    through the module interface, its weights and drops once into lists.
+    A monomial y^a has rank a_0 p^(m-1) + ... + a_(m-1): mixed radix p,
+    slot 0 most significant.  The basis vector y^a (tensor) l
     has index rank(a) * levi.dim + l.  All coefficients are reduced mod
     p; p-th powers of the u_J^- vectors collapse through chi.
     """
@@ -176,6 +179,8 @@ class Straightener:
         self.order = tuple(order)
         self.m = len(self.order)
         self.levi = levi
+        self._lw = [levi.weight_int(l) for l in range(levi.dim)]
+        self._ld = [levi.drop_int(l) for l in range(levi.dim)]
         self.slot = {g: k for k, g in enumerate(self.order)}
         self.chival = [chi.at_root(g) for g in self.order]
         self.stride = [self.p ** (self.m - 1 - k) for k in range(self.m)]
@@ -268,13 +273,13 @@ class Straightener:
         if self._lm is None:
             self._tables()
         r, l = divmod(b, self.levi.dim)
-        return tuple(w + s for w, s in zip(self.levi.weight(l), self._mwt[r]))
+        return tuple(w + s for w, s in zip(self._lw[l], self._mwt[r]))
 
     def drop_int(self, b):
         if self._lm is None:
             self._tables()
         r, l = divmod(b, self.levi.dim)
-        return tuple(d + s for d, s in zip(self.levi.droproot(l), self._mdrop[r]))
+        return tuple(d + s for d, s in zip(self._ld[l], self._mdrop[r]))
 
     def act(self, gkey, b):
         """Action of a basis generator on the basis vector of index b,
@@ -315,7 +320,7 @@ class Straightener:
             typ, g = gkey
             k = self.slot.get(g)
             if k is None:
-                return {l2: c % p for l2, c in self.levi.act(gkey, l).items() if c % p}
+                return self.levi.act_basis(gkey, l)
             if typ == "x":
                 return {}
             return {r2 * ldim + l: c for r2, c in self._lm[k][0].items()}

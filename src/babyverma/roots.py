@@ -254,10 +254,6 @@ class LeviDatum:
         self.u_roots = tuple(g for g in rs.roots if g not in inlevi)
 
 
-def levi_datum(rs, I):
-    return LeviDatum(rs, I)
-
-
 def shape_check(rs, I):
     """Whether I is one of the connected-segment shapes with a proven
     irreducibility statement: A prefix/suffix, B suffix, C prefix, D

@@ -283,7 +283,7 @@ class TupleStraightener:
         return out
 
     def weight_int(self, exps, l):
-        w = list(self.levi.weight(l))
+        w = list(self.levi.weight_int(l))
         for k, a in enumerate(exps):
             if a:
                 fk = self._fund[k]
@@ -292,7 +292,7 @@ class TupleStraightener:
         return tuple(w)
 
     def drop_int(self, exps, l):
-        d = list(self.levi.droproot(l))
+        d = list(self.levi.drop_int(l))
         for k, a in enumerate(exps):
             if a:
                 g = self.order[k]
@@ -323,7 +323,7 @@ class TupleStraightener:
                     out = {}
             else:
                 out = {}
-                for l2, c in self.levi.act(gkey, l).items():
+                for l2, c in self.levi.act_basis(gkey, l).items():
                     if c % p:
                         out[(exps, l2)] = c % p
         else:

@@ -29,7 +29,7 @@ from babyverma.modules import (
     verify_frobenius,
 )
 from babyverma.pbw import fix_order
-from babyverma.roots import RootSystem, levi_datum
+from babyverma.roots import LeviDatum, RootSystem
 
 ALGS = {}
 
@@ -242,7 +242,7 @@ def test_stability_under_construction_choices():
     for typ, rank, p, I in (("A", 2, 5, (1,)), ("B", 2, 5, (2,))):
         rs = RootSystem(typ, rank)
         fallback = tuple(
-            sorted(levi_datum(rs, I).u_roots, key=lambda g: (sum(g), g))
+            sorted(LeviDatum(rs, I).u_roots, key=lambda g: (sum(g), g))
         )
         ref = sweep(_alg(typ, rank), p, I)
         ok = ok and sweep(_alg(typ, rank, flip=True), p, I) == ref

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from babyverma import campaigns
 from babyverma.campaigns import (
     CSV_COLUMNS,
     analyze_weight,
@@ -39,6 +40,18 @@ def test_main_theorem_rank_two():
         "1,1": 50,
         "2,0": 25,
     }
+
+
+def test_main_theorem_rows_keep_weight_order(monkeypatch):
+    # at p = 13 the alcove has two-digit coordinates, so "0,10" must
+    # still follow "0,9" as in regular_alcove_weights
+    def stub(typ, rank, p, I, lam, *caps):
+        return dict(campaigns._row(typ, rank, p, I, lam), verdict="irreducible")
+
+    monkeypatch.setattr(campaigns, "analyze_weight", stub)
+    rep = verify_main_theorem("A", 2, 13, (1,), workers=1)
+    want = RootSystem("A", 2).regular_alcove_weights(13)
+    assert [r["lambda"] for r in rep["rows"]] == [",".join(map(str, w)) for w in want]
 
 
 def test_main_theorem_rank_two_type_b():

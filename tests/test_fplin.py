@@ -9,7 +9,6 @@ from babyverma.fplin import (
     fp_inv,
     joint_kernel,
     nullspace,
-    scale,
     span_closure,
 )
 
@@ -38,8 +37,6 @@ def test_addmul_and_scale():
     v = {0: 1, 2: 3}
     addmul(v, {0: 4, 1: 1}, 1, 5)
     assert v == {1: 1, 2: 3}
-    assert scale({0: 2, 1: 3}, 2, 5) == {0: 4, 1: 1}
-    assert scale({0: 2}, 0, 5) == {}
 
 
 def test_apply_columns():

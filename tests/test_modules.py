@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from _oracles import norton_verdict, radical_vectors_per_line, sl2_matrices
+from babyverma import modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
 from babyverma.fplin import addmul, span_closure
 from babyverma.modules import (
     CapExceeded,
     QuotientModule,
-    TableLevi,
     TrivialLevi,
     build_baby_verma,
     build_levi_simple,
@@ -24,7 +24,7 @@ from babyverma.modules import (
     verify_frobenius,
 )
 from babyverma.pbw import fix_order
-from babyverma.roots import RootSystem, levi_datum
+from babyverma.roots import LeviDatum, RootSystem
 
 A1 = ChevalleyAlgebra(RootSystem("A", 1))
 A2 = ChevalleyAlgebra(RootSystem("A", 2))
@@ -127,8 +127,8 @@ def test_levi_head_weights_frozen():
     levi = build_levi_simple(A2, 5, (1,), (0, 1))
     assert levi.dim == 2
     assert levi.high == 0
-    assert [levi.weight(l) for l in range(2)] == [(0, 1), (1, -1)]
-    assert [levi.droproot(l) for l in range(2)] == [(0, 0), (0, 1)]
+    assert [levi.weight_int(l) for l in range(2)] == [(0, 1), (1, -1)]
+    assert [levi.drop_int(l) for l in range(2)] == [(0, 0), (0, 1)]
 
 
 def test_act_on_highest_vector():
@@ -188,7 +188,7 @@ def _levi_lower(levi, order, exps, p):
         for _ in range(exps[k]):
             out = {}
             for l, c in vec.items():
-                for l2, c2 in levi.act(("y", order[k]), l).items():
+                for l2, c2 in levi.act_basis(("y", order[k]), l).items():
                     v = (out.get(l2, 0) + c * c2) % p
                     if v:
                         out[l2] = v
@@ -203,7 +203,7 @@ def test_borel_induction_surjects_onto_parabolic(lam):
     p = 3
     I = (1,)
     rs = A2.rs
-    ld = levi_datum(rs, I)
+    ld = LeviDatum(rs, I)
     uorder = fix_order(rs, I)
     full_order = uorder + ld.levi_roots
     chi = _chi(A2, p, I)
@@ -396,6 +396,20 @@ def test_report_and_radical_golden(case):
     assert radical(mod).pivots() == pivots
 
 
+def test_cap_checked_before_levi_head(monkeypatch):
+    # D4 p=7 I={1}: the u_J^- part alone has 7^6 = 117 649 > 50 000
+    # basis vectors, and the Levi Verma module behind the head as many
+    def no_head(*args):
+        raise AssertionError("Levi head built before the cap check")
+
+    monkeypatch.setattr(modules, "build_levi_simple", no_head)
+    D4 = ChevalleyAlgebra(RootSystem("D", 4))
+    with pytest.raises(CapExceeded, match="at least 117649"):
+        build_parabolic_baby_verma(D4, _chi(D4, 7, (1,)), (0, 1, 0, 0))
+    with pytest.raises(CapExceeded):
+        build_parabolic_baby_verma(A2, _chi(A2, 5, (1,)), (0, 1), cap=24)
+
+
 def test_cap_exceeded_paths():
     with pytest.raises(CapExceeded):
         build_baby_verma(A2, PChar(3, []), (0, 0), cap=10)
@@ -480,7 +494,8 @@ def test_radical_matches_per_line_oracle():
 def test_radical_rejects_non_simple_head():
     # Z(2) + Z(2) for sl2 at p = 3, induced from two copies of the top
     # weight: not cyclic, and its head L(2) + L(2) is not simple
-    levi = TableLevi([(2,), (2,)], [(0,), (0,)], {}, 0)
+    levi = TrivialLevi((2,))
+    levi.dim = 2  # both basis vectors of weight 2, the Levi acting by zero
     mod = build_parabolic_baby_verma(A1, PChar(3, []), (2,), order=((1,),), levi=levi)
     assert mod.dim == 6
     with pytest.raises(AssertionError, match="head is not simple"):

@@ -7,13 +7,17 @@ import pytest
 
 from _oracles import TupleStraightener
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
-from babyverma.modules import build_baby_verma, build_parabolic_baby_verma
+from babyverma.modules import TrivialLevi, build_baby_verma, build_parabolic_baby_verma
 from babyverma.pbw import Straightener, fix_order
-from babyverma.roots import RootSystem, levi_datum
+from babyverma.roots import LeviDatum, RootSystem
 
 
 def _alg(typ, rank):
     return ChevalleyAlgebra(RootSystem(typ, rank))
+
+
+def _base(alg):
+    return TrivialLevi((0,) * alg.rs.n)
 
 
 GOLDEN_ORDERS = [
@@ -109,7 +113,7 @@ for typ, rank in [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
 @pytest.mark.parametrize("typ,rank,I", ALL_SHAPES)
 def test_order_is_permutation_of_nilradical(typ, rank, I):
     rs = RootSystem(typ, rank)
-    ld = levi_datum(rs, I)
+    ld = LeviDatum(rs, I)
     order = fix_order(rs, I)
     assert sorted(order) == sorted(ld.u_roots)
     assert len(set(order)) == len(order)
@@ -118,9 +122,9 @@ def test_order_is_permutation_of_nilradical(typ, rank, I):
 def test_chival_default_and_custom():
     alg = _alg("B", 2)
     order = fix_order(alg.rs, (2,))
-    st = Straightener(alg, make_pchar(alg, 5, (2,)), order, None)
+    st = Straightener(alg, make_pchar(alg, 5, (2,)), order, _base(alg))
     assert st.chival == [1, 0, 0]
-    st = Straightener(alg, make_pchar(alg, 5, (2,), {2: 3}), order, None)
+    st = Straightener(alg, make_pchar(alg, 5, (2,), {2: 3}), order, _base(alg))
     assert st.chival == [3, 0, 0]
 
 
@@ -128,7 +132,7 @@ def test_leftmul_wraps_with_character_power():
     alg = _alg("A", 1)
     order = ((1,),)
     for p, cval, coeff in [(5, 1, 1), (5, 2, 2), (7, 3, 3)]:
-        st = Straightener(alg, PChar(p, [1], {1: cval}), order, None)
+        st = Straightener(alg, PChar(p, [1], {1: cval}), order, _base(alg))
         out = st.leftmul(0, (p - 1,))
         # y^p acts by the p-th power of the character value
         assert out == {(0,): pow(cval, p, p)}
@@ -140,7 +144,7 @@ def test_leftmul_straightens_out_of_order_product():
     # starts at slot 0 costs a correction term at the sum root
     alg = _alg("A", 2)
     order = ((0, 1), (1, 0), (1, 1))
-    st = Straightener(alg, PChar(3, []), order, None)
+    st = Straightener(alg, PChar(3, []), order, _base(alg))
     out = st.leftmul(1, (1, 0, 0))
     assert out == {(1, 1, 0): 1, (0, 0, 1): 2}
 
@@ -154,7 +158,7 @@ def test_leftmul_respects_brackets(typ, rank, I, p):
     alg = _alg(typ, rank)
     rs = alg.rs
     order = fix_order(rs, I)
-    st = Straightener(alg, make_pchar(alg, p, I), order, None)
+    st = Straightener(alg, make_pchar(alg, p, I), order, _base(alg))
     rng = random.Random(1)
     m = len(order)
 

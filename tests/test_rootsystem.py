@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from babyverma.roots import RootSystem, levi_datum, root_label, shape_check
+from babyverma.roots import LeviDatum, RootSystem, root_label, shape_check
 
 
 def rs(typ, n):
@@ -191,13 +191,13 @@ def test_evector():
 
 def test_levi_datum():
     R = rs("A", 2)
-    L = levi_datum(R, [1])
+    L = LeviDatum(R, [1])
     assert L.J == (2,)
     assert L.levi_roots == ((0, 1),)
     assert set(L.u_roots) == {(1, 0), (1, 1)}
-    L0 = levi_datum(R, [])
+    L0 = LeviDatum(R, [])
     assert L0.u_roots == ()
-    Lpi = levi_datum(R, [1, 2])
+    Lpi = LeviDatum(R, [1, 2])
     assert Lpi.levi_roots == ()
 
 
