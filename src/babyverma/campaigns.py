@@ -54,17 +54,22 @@ def is_prime(p):
     return True
 
 
-def check_sweep_params(typ, rank, p, I):
-    rs = RootSystem(typ, rank)
+def check_prime(typ, p):
+    """Refuse p unless it is a good prime for the type: prime, and
+    odd for types B, C and D, where 2 is a bad prime."""
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
+    if typ != "A" and p == 2:
+        raise ValueError("p = 2 is a bad prime: types B, C, D need p > 2")
+
+
+def check_sweep_params(typ, rank, p, I):
+    rs = RootSystem(typ, rank)
+    check_prime(typ, p)
     if not shape_check(rs, I):
         raise ValueError("Levi shape %s is not admissible for %s%d" % (list(I), typ, rank))
-    if typ == "A":
-        if (rank + 1) % p == 0:
-            raise ValueError("type A sweep needs p coprime to rank+1")
-    elif p == 2:
-        raise ValueError("types B, C, D need p > 2")
+    if typ == "A" and (rank + 1) % p == 0:
+        raise ValueError("type A sweep needs p coprime to rank+1")
     return rs
 
 

@@ -1,9 +1,13 @@
 """Finite-dimensional induced modules and their irreducibility.
 
-The central object is the induced module on the basis y^a (tensor) l:
-exponent tuples over the fixed u_J^- order times a base-module index,
-numbered as in pbw.Straightener, whose column tables are the module's
-action (act_basis) and operator matrices (op_matrix) alike.
+The central object is InducedModule, the induced module on the basis
+y^a (tensor) l: exponent tuples over the fixed u_J^- order of
+pbw.fix_order times a base-module index, numbered by integers.  It
+straightens left multiplication by root vectors into that basis,
+reducing p-th powers through the p-character.  Left multiplication by
+each slot is one table over monomial ranks, built at construction; the
+action of each generator is one column table over indices, filled on
+first use and shared by act_basis and op_matrix alike.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
@@ -25,7 +29,8 @@ that fails to generate is closed to full rank.  This decides the
 
 The radical sums the closures of the non-generating kernel lines as it
 goes, skipping lines already in the sum, and checks on the way that the
-head is simple, which it relies on.
+head is simple, which it relies on: HeadNotSimple refuses a module
+outside that premise.
 """
 
 import itertools
@@ -33,12 +38,17 @@ import random
 
 from .fplin import GradedEchelon, addmul, apply_columns, joint_kernel, span_closure
 from .chevalley import PChar
-from .pbw import Straightener, fix_order
+from .pbw import fix_order
 from .roots import LeviDatum
 
 
 class CapExceeded(Exception):
     """A requested construction or search exceeds its size bound."""
+
+
+class HeadNotSimple(ValueError):
+    """The module's head is seen not to be simple: the module lies
+    outside the premise radical() and head() rest on."""
 
 
 # ---- base modules for the induction ----
@@ -116,52 +126,213 @@ class ModuleBase:
 
 
 class InducedModule(ModuleBase):
-    """Induced module on basis y^a (tensor) l, with index
-    rank(a) * levi.dim + l: lexicographic in the exponent tuple, then by
-    base index (see Straightener)."""
+    """Induced module on the ordered basis y^a (tensor) l, on integer
+    indices.
 
-    def __init__(self, alg, chi, st, active=None):
+    order fixes the u_J^- slots; levi is the finite base module, read
+    through the module interface, its weights and drops once into lists.
+    A monomial y^a has rank a_0 p^(m-1) + ... + a_(m-1): mixed radix p,
+    slot 0 most significant.  The basis vector y^a (tensor) l has index
+    rank(a) * levi.dim + l, so the highest vector is levi.high.  All
+    coefficients are reduced mod p; p-th powers of the u_J^- vectors
+    collapse through chi.
+    """
+
+    def __init__(self, alg, chi, order, levi, active=None):
         self.alg = alg
         self.rs = alg.rs
-        self.p = chi.p
         self.chi = chi
-        self.st = st
-        self.levi = st.levi
-        self.m = st.m
-        self.dim = self.p**self.m * self.levi.dim
+        self.p = chi.p
+        self.order = tuple(order)
+        self.m = len(self.order)
+        self.levi = levi
+        self.dim = self.p**self.m * levi.dim
         if active is None:
             active = tuple(range(1, self.rs.n + 1))
         self.active = tuple(active)
-        self.high = self.index_of((0,) * self.m, self.levi.high)
-        self.lam = self.levi.weight_int(self.levi.high)
+        self.high = levi.high
+        self.lam = levi.weight_int(levi.high)
+        self._lw = [levi.weight_int(l) for l in range(levi.dim)]
+        self._ld = [levi.drop_int(l) for l in range(levi.dim)]
+        self.slot = {g: k for k, g in enumerate(self.order)}
+        self.chival = [chi.at_root(g) for g in self.order]
+        self.stride = [self.p ** (self.m - 1 - k) for k in range(self.m)]
+        self._lead, self._mwt, self._mdrop, self._lm = self._tables()
+        self._act_cols = {}
+        self._brk = {}
         self._cols = {}
         self._classes = None
         self._grades = None
 
+    def rank(self, exps):
+        r = 0
+        for a in exps:
+            r = r * self.p + a
+        return r
+
+    def exps(self, r):
+        return tuple((r // s) % self.p for s in self.stride)
+
     def index_of(self, exps, l):
-        return self.st.rank(exps) * self.levi.dim + l
+        return self.rank(exps) * self.levi.dim + l
 
     def vector_at(self, b):
         r, l = divmod(b, self.levi.dim)
-        return self.st.exps(r), l
+        return self.exps(r), l
 
-    def act_basis(self, key, b):
-        """The straightener's column: shared with op_matrix, never to be
-        mutated."""
-        return self.st.act(key, b)
+    def _tables(self):
+        """Per-rank tables: lead[r], the leading (first nonzero) slot of
+        r; mwt[r] and mdrop[r], the weight and drop shifts of y^r; and
+        lm[k][r], y_k . y^r as {rank: coeff}.
+
+        For k past the leading slot j of r, y_k y_j y^rest = y_j (y_k
+        y^rest) + [y_k, y_j] y^rest.  The terms read y_k and y_[k,j] on
+        the lower-degree rest, and y_j on monomials of degree at most
+        deg(r) with j < k.  Filling by degree, then by slot, therefore
+        writes every entry before it is read."""
+        p, m, stride, order = self.p, self.m, self.stride, self.order
+        n = p**m
+        lead = [m] * n
+        for k in range(m):
+            lead[stride[k] : stride[k] * p] = [k] * (stride[k] * (p - 1))
+        fund = [self.rs.fund(g) for g in order]
+        mwt = [(0,) * self.rs.n] * n
+        mdrop = list(mwt)
+        by_deg = [[0]] + [[] for _ in range(m * (p - 1))]
+        deg = [0] * n
+        for r in range(1, n):
+            j = lead[r]
+            rest = r - stride[j]
+            mwt[r] = tuple(w - f for w, f in zip(mwt[rest], fund[j]))
+            mdrop[r] = tuple(d + g for d, g in zip(mdrop[rest], order[j]))
+            deg[r] = deg[rest] + 1
+            by_deg[deg[r]].append(r)
+        corr = {}
+        for k in range(m):
+            for j in range(k):
+                s = tuple(x + y for x, y in zip(order[k], order[j]))
+                if s in self.slot:
+                    c = (-int(self.alg.nconst(order[k], order[j]))) % p
+                    if c:
+                        corr[k, j] = (self.slot[s], c)
+        tabs = [[None] * n for _ in range(m)]
+        for ranks in by_deg:
+            for k in range(m):
+                tk = tabs[k]
+                sk = stride[k]
+                wrap = pow(self.chival[k], p, p)
+                for r in ranks:
+                    j = lead[r]
+                    if k <= j:
+                        if (r // sk) % p + 1 < p:
+                            tk[r] = {r + sk: 1}
+                        else:
+                            tk[r] = {r - (p - 1) * sk: wrap} if wrap else {}
+                        continue
+                    rest = r - stride[j]
+                    tj = tabs[j]
+                    out = {}
+                    for e1, c1 in tk[rest].items():
+                        for e2, c2 in tj[e1].items():
+                            out[e2] = out.get(e2, 0) + c1 * c2
+                    if (k, j) in corr:
+                        s, c = corr[k, j]
+                        for e2, c2 in tabs[s][rest].items():
+                            out[e2] = out.get(e2, 0) + c * c2
+                    tk[r] = {e: v % p for e, v in out.items() if v % p}
+        return lead, mwt, mdrop, tabs
+
+    def leftmul(self, k, exps):
+        """y_k . y^exps inside the chi-reduced nilradical, as
+        {exps': coeff}."""
+        col = self._lm[k][self.rank(exps)]
+        return {self.exps(r): c for r, c in col.items()}
 
     def weight_int(self, b):
-        return self.st.weight_int(b)
+        r, l = divmod(b, self.levi.dim)
+        return tuple(w + s for w, s in zip(self._lw[l], self._mwt[r]))
 
     def drop_int(self, b):
-        return self.st.drop_int(b)
+        r, l = divmod(b, self.levi.dim)
+        return tuple(d + s for d, s in zip(self._ld[l], self._mdrop[r]))
+
+    def act_basis(self, gkey, b):
+        """Action of a basis generator on the basis vector of index b,
+        as {index: coeff}.  For an x or y key this is the memoised
+        column, shared by every caller, op_matrix included: it must not
+        be mutated."""
+        if gkey[0] == "h":
+            c = self.weight_int(b)[gkey[1] - 1] % self.p
+            return {b: c} if c else {}
+        col = self._act_cols.get(gkey)
+        if col is None:
+            col = self._act_cols[gkey] = [None] * self.dim
+        out = col[b]
+        if out is None:
+            # walk down b, rest(b), ... to a filled entry, then fill
+            # upwards, so a cold call recurses only through the bracket
+            # keys and never once per unit of exponent
+            ldim = self.levi.dim
+            chain = [b]
+            r = b // ldim
+            while r:
+                rest = chain[-1] - self.stride[self._lead[r]] * ldim
+                if col[rest] is not None:
+                    break
+                chain.append(rest)
+                r = rest // ldim
+            for c in reversed(chain):
+                out = col[c] = self._column(gkey, c, col)
+        return out
+
+    def _column(self, gkey, b, col):
+        # y^a = y_j y^rest with j the leading slot of a:
+        # g y_j y^rest l = y_j (g y^rest l) + [g, y_j] y^rest l
+        p = self.p
+        ldim = self.levi.dim
+        r, l = divmod(b, ldim)
+        if not r:
+            typ, g = gkey
+            k = self.slot.get(g)
+            if k is None:
+                return self.levi.act_basis(gkey, l)
+            if typ == "x":
+                return {}
+            return {r2 * ldim + l: c for r2, c in self._lm[k][0].items()}
+        j = self._lead[r]
+        rest = b - self.stride[j] * ldim
+        tj = self._lm[j]
+        out = {}
+        for b1, c1 in col[rest].items():
+            r1, l1 = divmod(b1, ldim)
+            for r2, c2 in tj[r1].items():
+                b2 = r2 * ldim + l1
+                out[b2] = out.get(b2, 0) + c1 * c2
+        brk = self._brk.get((gkey, j))
+        if brk is None:
+            brk = self._brk[gkey, j] = tuple(
+                self.alg.bracket(gkey, ("y", self.order[j])).items()
+            )
+        for bkey, bc in brk:
+            if bkey[0] == "h":
+                # the torus acts on y^rest l by a scalar
+                out[rest] = out.get(rest, 0) + bc * self.weight_int(rest)[bkey[1] - 1]
+                continue
+            bcol = self._act_cols.get(bkey)
+            img = None if bcol is None else bcol[rest]
+            if img is None:
+                img = self.act_basis(bkey, rest)
+            for b2, c2 in img.items():
+                out[b2] = out.get(b2, 0) + bc * c2
+        return {b2: v % p for b2, v in out.items() if v % p}
 
 
 class QuotientModule(ModuleBase):
     """Quotient by an action-stable subspace, on the canonical
-    complement coordinates of the subspace's reduced row form."""
+    complement coordinates of the subspace's reduced row form.  The
+    stability of sub is the caller's premise and is not re-checked."""
 
-    def __init__(self, parent, sub, check=True):
+    def __init__(self, parent, sub):
         self.parent = parent
         self.alg = parent.alg
         self.rs = parent.rs
@@ -178,15 +349,6 @@ class QuotientModule(ModuleBase):
         self._cols = {}
         self._classes = None
         self._grades = None
-        if check:
-            self._check_stable()
-
-    def _check_stable(self):
-        for row in self.sub.basis():
-            for op in self.parent.xy_ops():
-                img = apply_columns(op, row, self.p)
-                if self.sub.reduce(img):
-                    raise AssertionError("subspace is not action-stable")
 
     def project(self, vec):
         red = self.sub.reduce(vec)
@@ -217,8 +379,7 @@ def build_levi_simple(alg, p, I, lam):
     if all(lam[j - 1] % p == 0 for j in ld.J):
         return TrivialLevi(lam)
     chi0 = PChar(p, ())
-    st = Straightener(alg, chi0, ld.levi_roots, TrivialLevi(lam))
-    return head(InducedModule(alg, chi0, st, active=ld.J))
+    return head(InducedModule(alg, chi0, ld.levi_roots, TrivialLevi(lam), active=ld.J))
 
 
 def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
@@ -240,8 +401,7 @@ def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
     dim *= levi.dim
     if dim > cap:
         raise CapExceeded("dimension %d exceeds cap %d" % (dim, cap))
-    st = Straightener(alg, chi, order, levi)
-    return InducedModule(alg, chi, st)
+    return InducedModule(alg, chi, order, levi)
 
 
 def build_baby_verma(alg, chi, lam, cap=50000, order=None):
@@ -369,7 +529,7 @@ def radical(mod, cap=10000):
     """The unique maximal submodule, as an echelonized row space in
     global coordinates.  Relies on the head being simple (every vector
     outside the radical generates), which holds for the highest-weight
-    modules built here; AssertionError if the non-generating kernel
+    modules built here; HeadNotSimple if the non-generating kernel
     lines are seen to generate together."""
     return _radical_vectors(mod, cap).echelon()
 
@@ -396,16 +556,19 @@ def _radical_vectors(mod, cap):
     if mod.high in sub.rows:
         # the sum holds e_high, or its quotient would lose the highest
         # vector: either way the head is not simple
-        raise AssertionError("head is not simple: non-generating lines reach the top")
+        raise HeadNotSimple(
+            "head is not simple: non-generating lines reach the top, so the "
+            "module is outside the simple-head premise of radical() and head()"
+        )
     if sub.rows:
-        q = QuotientModule(mod, sub, check=False)
+        q = QuotientModule(mod, sub)
         for v in _radical_vectors(q, cap).echelon().basis():
             bad.insert(q.lift(v))
     return bad
 
 
 def head(mod, cap=10000):
-    return QuotientModule(mod, radical(mod, cap), check=False)
+    return QuotientModule(mod, radical(mod, cap))
 
 
 # ---- representation checks ----

@@ -5,14 +5,15 @@ verdicts only need the module's operator matrices, never its internal
 bookkeeping.  Two slow paths of the engine are kept here as references
 for its fast ones: TupleStraightener, the recursive straightening on
 exponent tuples with per-call memos, for the integer column tables of
-pbw.Straightener; and radical_vectors_per_line, which closes every
+modules.InducedModule; and radical_vectors_per_line, which closes every
 non-generating kernel line and then all of them together, for the
-running graded sum of modules._radical_vectors.
+running graded sum of modules._radical_vectors.  check_stable confirms
+that a subspace handed to QuotientModule is stable under the action.
 """
 
 import random
 
-from babyverma.fplin import span_closure
+from babyverma.fplin import apply_columns, span_closure
 from babyverma.modules import QuotientModule, _kernel_lines, generates
 
 
@@ -355,8 +356,17 @@ def radical_vectors_per_line(mod, cap=10000):
     if not bad:
         return []
     sub = span_closure(bad, mod.xy_ops(), mod.p, grade=mod.grades())
-    q = QuotientModule(mod, sub, check=False)
+    q = QuotientModule(mod, sub)
     out = [dict(r) for r in sub.basis()]
     for v in radical_vectors_per_line(q, cap):
         out.append(q.lift(v))
     return out
+
+
+def check_stable(mod, sub):
+    """Raise AssertionError unless the echelonized subspace sub of mod
+    is stable under every simple x and y operator."""
+    for row in sub.basis():
+        for op in mod.xy_ops():
+            if sub.reduce(apply_columns(op, row, mod.p)):
+                raise AssertionError("subspace is not action-stable")

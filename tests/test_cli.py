@@ -34,6 +34,19 @@ def test_check_rejects_composite_p(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("cmd", [["check"], ["dump", "matrix", "--gen", "h1"]])
+@pytest.mark.parametrize("typ", ["B", "C", "D"])
+def test_bad_prime_two_rejected(cmd, typ, capsys):
+    # p = 2 is a bad prime outside type A; C2 at lambda = 1,1 used to
+    # come out reducible at the Steinberg weight
+    rank = 4 if typ == "D" else 2
+    lam = ",".join(["1"] * rank)
+    rc = main(cmd + ["--type", typ, "--rank", str(rank), "--p", "2", "--lambda", lam])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "bad prime" in err
+
+
 def test_check_warns_when_p_divides_rank_plus_one(capsys):
     rc = main(["check", "--type", "A", "--rank", "2", "--p", "3", "--I", "1", "--lambda", "0,0"])
     captured = capsys.readouterr()

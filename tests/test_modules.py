@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from _oracles import norton_verdict, radical_vectors_per_line, sl2_matrices
+from _oracles import check_stable, norton_verdict, radical_vectors_per_line, sl2_matrices
 from babyverma import modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
 from babyverma.fplin import addmul, span_closure
 from babyverma.modules import (
     CapExceeded,
+    HeadNotSimple,
     QuotientModule,
     TrivialLevi,
     build_baby_verma,
@@ -285,7 +286,7 @@ def test_head_is_simple_and_radical_is_stable():
     mod = build_baby_verma(A2, PChar(3, []), (1, 0))
     rad = radical(mod)
     assert 0 < rad.rank() < mod.dim
-    # QuotientModule re-checks stability of the subspace on build
+    check_stable(mod, rad)
     q = QuotientModule(mod, rad)
     assert is_irreducible(q).irreducible
     assert radical(q).rank() == 0
@@ -498,5 +499,15 @@ def test_radical_rejects_non_simple_head():
     levi.dim = 2  # both basis vectors of weight 2, the Levi acting by zero
     mod = build_parabolic_baby_verma(A1, PChar(3, []), (2,), order=((1,),), levi=levi)
     assert mod.dim == 6
-    with pytest.raises(AssertionError, match="head is not simple"):
+    with pytest.raises(HeadNotSimple, match="head is not simple"):
         radical(mod)
+
+
+def test_radical_refuses_a2_p3_regular_nilpotent():
+    # for sl3, p = 3 divides n+1, outside the standard hypotheses: the
+    # non-generating lines of this module generate together
+    mod = build_baby_verma(A2, PChar(3, [1, 2]), (0, 0))
+    assert mod.dim == 27
+    for fn in (radical, head):
+        with pytest.raises(HeadNotSimple, match="simple-head premise"):
+            fn(mod)

@@ -7,8 +7,13 @@ import pytest
 
 from _oracles import TupleStraightener
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
-from babyverma.modules import TrivialLevi, build_baby_verma, build_parabolic_baby_verma
-from babyverma.pbw import Straightener, fix_order
+from babyverma.modules import (
+    InducedModule,
+    TrivialLevi,
+    build_baby_verma,
+    build_parabolic_baby_verma,
+)
+from babyverma.pbw import fix_order
 from babyverma.roots import LeviDatum, RootSystem
 
 
@@ -122,9 +127,9 @@ def test_order_is_permutation_of_nilradical(typ, rank, I):
 def test_chival_default_and_custom():
     alg = _alg("B", 2)
     order = fix_order(alg.rs, (2,))
-    st = Straightener(alg, make_pchar(alg, 5, (2,)), order, _base(alg))
+    st = InducedModule(alg, make_pchar(alg, 5, (2,)), order, _base(alg))
     assert st.chival == [1, 0, 0]
-    st = Straightener(alg, make_pchar(alg, 5, (2,), {2: 3}), order, _base(alg))
+    st = InducedModule(alg, make_pchar(alg, 5, (2,), {2: 3}), order, _base(alg))
     assert st.chival == [3, 0, 0]
 
 
@@ -132,7 +137,7 @@ def test_leftmul_wraps_with_character_power():
     alg = _alg("A", 1)
     order = ((1,),)
     for p, cval, coeff in [(5, 1, 1), (5, 2, 2), (7, 3, 3)]:
-        st = Straightener(alg, PChar(p, [1], {1: cval}), order, _base(alg))
+        st = InducedModule(alg, PChar(p, [1], {1: cval}), order, _base(alg))
         out = st.leftmul(0, (p - 1,))
         # y^p acts by the p-th power of the character value
         assert out == {(0,): pow(cval, p, p)}
@@ -144,7 +149,7 @@ def test_leftmul_straightens_out_of_order_product():
     # starts at slot 0 costs a correction term at the sum root
     alg = _alg("A", 2)
     order = ((0, 1), (1, 0), (1, 1))
-    st = Straightener(alg, PChar(3, []), order, _base(alg))
+    st = InducedModule(alg, PChar(3, []), order, _base(alg))
     out = st.leftmul(1, (1, 0, 0))
     assert out == {(1, 1, 0): 1, (0, 0, 1): 2}
 
@@ -158,7 +163,7 @@ def test_leftmul_respects_brackets(typ, rank, I, p):
     alg = _alg(typ, rank)
     rs = alg.rs
     order = fix_order(rs, I)
-    st = Straightener(alg, make_pchar(alg, p, I), order, _base(alg))
+    st = InducedModule(alg, make_pchar(alg, p, I), order, _base(alg))
     rng = random.Random(1)
     m = len(order)
 
@@ -220,8 +225,7 @@ DIFF_ZOO = [
 def test_integer_columns_match_tuple_oracle(build, typ, rank, p, I, lam):
     alg = _alg(typ, rank)
     mod = build(alg, make_pchar(alg, p, I), lam)
-    st = mod.st
-    ref = TupleStraightener(alg, mod.chi, st.order, mod.levi)
+    ref = TupleStraightener(alg, mod.chi, mod.order, mod.levi)
 
     def want(key, b):
         exps, l = mod.vector_at(b)
@@ -242,6 +246,6 @@ def test_integer_columns_match_tuple_oracle(build, typ, rank, p, I, lam):
         exps, l = mod.vector_at(b)
         assert mod.weight_int(b) == ref.weight_int(exps, l)
         assert mod.drop_int(b) == ref.drop_int(exps, l)
-    for k in range(st.m):
-        for exps in itertools.product(range(p), repeat=st.m):
-            assert st.leftmul(k, exps) == ref.leftmul(k, exps), (k, exps)
+    for k in range(mod.m):
+        for exps in itertools.product(range(p), repeat=mod.m):
+            assert mod.leftmul(k, exps) == ref.leftmul(k, exps), (k, exps)
