@@ -10,7 +10,8 @@ The two block campaigns walk the subregular orbits: type A under the
 Coxeter element with the last simple index parabolic, type B with the
 first.  They check the closed-form orbit weights, the predicted
 dimensions r_i * p^(N-1), the block dimension sum p^N (type A), and
-irreducibility where the size bound allows deciding it.
+the irreducibility of every built module.  Sweep rows and orbit rows
+are built and decided by one row function, under the same caps.
 """
 
 import csv
@@ -87,12 +88,12 @@ def _row(typ, rank, p, I, lam):
     }
 
 
-def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
-    """One sweep row: build the induced module at lam and decide."""
-    alg = _algebra(typ, rank)
-    chi = make_pchar(alg, p, I)
+def _decide(row, alg, chi, lam, cap, lines_cap):
+    """Build the induced module at lam, decide it and fill row's dim,
+    verdict, witness_dim and millis.  A cap hit makes the row skipped;
+    any other exception makes it an error row, so that one failing row
+    does not end the campaign but fails it."""
     t0 = time.monotonic()
-    row = _row(typ, rank, p, I, lam)
     try:
         mod = build_parabolic_baby_verma(alg, chi, lam, cap=cap)
         row["dim"] = mod.dim
@@ -106,21 +107,19 @@ def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
             ).rank()
     except CapExceeded:
         row["verdict"] = "skipped"
+    except Exception as exc:
+        row.update(dim="", witness_dim="", verdict="error")
+        row["error"] = "%s: %s" % (type(exc).__name__, exc)
+        row["traceback"] = traceback.format_exc()
     row["millis"] = int((time.monotonic() - t0) * 1000)
     return row
 
 
-def _sweep_worker(task):
-    # one failing row must not abort the sweep: it becomes an error row
-    # and fails the campaign
-    try:
-        return analyze_weight(*task)
-    except Exception as exc:
-        row = _row(*task[:5])
-        row["verdict"] = "error"
-        row["error"] = "%s: %s" % (type(exc).__name__, exc)
-        row["traceback"] = traceback.format_exc()
-        return row
+def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
+    """One sweep row: build the induced module at lam and decide."""
+    alg = _algebra(typ, rank)
+    row = _row(typ, rank, p, I, lam)
+    return _decide(row, alg, make_pchar(alg, p, I), lam, cap, lines_cap)
 
 
 def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
@@ -130,9 +129,9 @@ def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
     tasks = [(typ, rank, p, I, lam, cap, lines_cap) for lam in weights]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            rows = list(pool.map(analyze_weight, *zip(*tasks)))
     else:
-        rows = [_sweep_worker(t) for t in tasks]
+        rows = [analyze_weight(*t) for t in tasks]
     counts = {"irreducible": 0, "reducible": 0, "skipped": 0}
     for r in rows:
         counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1
@@ -160,25 +159,18 @@ def _pairings(r):
     return r
 
 
-def _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, irr_cap, lines_cap):
-    """One orbit row: fields, then the built module's dim against
-    expected_dim and, up to irr_cap, its verdict.  build=False leaves
-    dim and verdict empty and the row ok."""
-    t0 = time.monotonic()
-    dim = verdict = ""
+def _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, lines_cap):
+    """One orbit row: fields, then, with build, the decided module at
+    lam, which is ok when irreducible of dimension expected_dim.
+    build=False leaves dim and verdict empty and the row ok."""
+    row = dict(fields, expected_dim=expected_dim, dim="", verdict="", witness_dim="", millis=0)
     if build:
-        mod = build_parabolic_baby_verma(alg, chi, lam, cap=cap)
-        dim = mod.dim
-        if dim <= irr_cap:
-            rep = is_irreducible(mod, cap=lines_cap)
-            verdict = "irreducible" if rep.irreducible else "reducible"
-    row = dict(fields, dim=dim, expected_dim=expected_dim, verdict=verdict)
-    row["ok"] = not build or (dim == expected_dim and verdict in ("", "irreducible"))
-    row["millis"] = int((time.monotonic() - t0) * 1000)
+        _decide(row, alg, chi, lam, cap, lines_cap)
+    row["ok"] = not build or (row["dim"], row["verdict"]) == (expected_dim, "irreducible")
     return row
 
 
-def subregular_block_a(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=True):
+def subregular_block_a(p, r, cap=50000, lines_cap=10000, build=True):
     """Orbit of the Coxeter element in type A_n with I = {1..n-1}.
 
     r lists the alcove pairings of the base weight: lam_0 + rho = r,
@@ -213,11 +205,9 @@ def subregular_block_a(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
             )
         expected_dim = head * p ** (npos - 1)
         fields = {"i": i, "lambda": list(lam), "lambda_plus_rho": list(lam_rho)}
-        row = _orbit_row(
-            fields, alg, chi, lam, expected_dim, build, cap, irr_cap, lines_cap
-        )
+        row = _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, lines_cap)
         passed = passed and row["ok"]
-        dimsum += row["dim"] if build else expected_dim
+        dimsum += (row["dim"] or 0) if build else expected_dim
         rows.append(row)
     sum_ok = dimsum == p**npos
     return {
@@ -234,7 +224,7 @@ def subregular_block_a(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
     }
 
 
-def subregular_block_b(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=True):
+def subregular_block_b(p, r, cap=50000, lines_cap=10000, build=True):
     """Orbit rows in type B_n with I = {2..n}.
 
     r lists the alcove pairings of the base weight; the interior
@@ -304,9 +294,7 @@ def subregular_block_b(p, r, cap=50000, irr_cap=4000, lines_cap=10000, build=Tru
             "first_component": first,
             "skipped": False,
         }
-        row = _orbit_row(
-            fields, alg, chi, lam_p, expected_dim, build, cap, irr_cap, lines_cap
-        )
+        row = _orbit_row(fields, alg, chi, lam_p, expected_dim, build, cap, lines_cap)
         passed = passed and row["ok"]
         rows.append(row)
     return {

@@ -117,7 +117,7 @@ def _save_config(args):
 
 def _algebra_from_args(args):
     rs = RootSystem(args.type, args.rank)
-    return ChevalleyAlgebra(rs, sign_flip=getattr(args, "sign_flip", False))
+    return ChevalleyAlgebra(rs, sign_flip=args.sign_flip)
 
 
 def _module_from_args(args):
@@ -175,6 +175,23 @@ def cmd_check(args):
     return 0 if rep.irreducible else 1
 
 
+def _row_line(sub, row):
+    """One campaign row as a line of stdout; its first field names the row."""
+    if sub == "main-theorem":
+        return "lambda=%s dim=%s %s (%d ms)" % (
+            row["lambda"], row["dim"], row["verdict"], row["millis"]
+        )
+    if sub == "negative-controls":
+        return "%s expected=%s got=%s %s" % (
+            row["case"], row["expected"], row["got"], "ok" if row["ok"] else "MISMATCH"
+        )
+    if row.get("skipped"):
+        return "i=%d lambda+rho=%s skipped" % (row["i"], row["lambda_plus_rho"])
+    return "i=%d dim=%s expected=%d %s" % (
+        row["i"], row["dim"], row["expected_dim"], row["verdict"]
+    )
+
+
 def cmd_campaign(args):
     if args.sub == "main-theorem":
         report = campaigns.verify_main_theorem(
@@ -186,29 +203,13 @@ def cmd_campaign(args):
             lines_cap=args.lines_cap,
             workers=args.workers,
         )
-        for row in report["rows"]:
-            print(
-                "lambda=%s dim=%s %s (%d ms)"
-                % (row["lambda"], row["dim"], row["verdict"], row["millis"])
-            )
-            if row["verdict"] == "error":
-                msg = "error: lambda=%s: %s" % (row["lambda"], row["error"])
-                print(msg, file=sys.stderr)
-        if report["vacuous"]:
-            print("sweep empty: no p-regular weights in the first alcove (vacuous pass)")
-        print(
-            "main-theorem %s%d p=%d I=%s: %s"
-            % (
-                args.type,
-                args.rank,
-                args.p,
-                args.I,
-                "PASS" if report["passed"] else "FAIL",
-            )
-        )
+        title = "main-theorem %s%d p=%d I=%s" % (args.type, args.rank, args.p, args.I)
         if args.csv:
             campaigns.write_csv(report["rows"], args.csv)
-    elif args.sub in ("subregular-A", "subregular-B"):
+    elif args.sub == "negative-controls":
+        report = campaigns.negative_controls()
+        title = args.sub
+    else:
         fn = (
             campaigns.subregular_block_a
             if args.sub == "subregular-A"
@@ -218,27 +219,18 @@ def cmd_campaign(args):
             args.p,
             _parse_int_list(args.r),
             cap=args.cap,
-            irr_cap=args.irr_cap,
             lines_cap=args.lines_cap,
             build=not args.no_build,
         )
-        for row in report["rows"]:
-            if row.get("skipped"):
-                print("i=%d lambda+rho=%s skipped" % (row["i"], row["lambda_plus_rho"]))
-            else:
-                print(
-                    "i=%d dim=%s expected=%d %s"
-                    % (row["i"], row["dim"], row["expected_dim"], row["verdict"])
-                )
-        print("%s p=%d r=%s: %s" % (args.sub, args.p, args.r, "PASS" if report["passed"] else "FAIL"))
-    else:
-        report = campaigns.negative_controls()
-        for row in report["rows"]:
-            print(
-                "%s expected=%s got=%s %s"
-                % (row["case"], row["expected"], row["got"], "ok" if row["ok"] else "MISMATCH")
-            )
-        print("negative-controls: %s" % ("PASS" if report["passed"] else "FAIL"))
+        title = "%s p=%d r=%s" % (args.sub, args.p, args.r)
+    for row in report["rows"]:
+        line = _row_line(args.sub, row)
+        print(line)
+        if row.get("verdict") == "error":
+            print("error: %s: %s" % (line.split()[0], row["error"]), file=sys.stderr)
+    if report.get("vacuous"):
+        print("sweep empty: no p-regular weights in the first alcove (vacuous pass)")
+    print("%s: %s" % (title, "PASS" if report["passed"] else "FAIL"))
     if args.json:
         campaigns.write_json(report, args.json)
     return 0 if report["passed"] else 1
@@ -321,13 +313,25 @@ def _add_common(sp):
     sp.add_argument("--save-config", help="write resolved options to this file")
 
 
-def _add_module_params(sp, need_p=True):
+def _add_module_params(sp, need_p=True, sign_flip=False):
     sp.add_argument("--type", required=True, choices=["A", "B", "C", "D"])
     sp.add_argument("--rank", required=True, type=int)
     if need_p:
         sp.add_argument("--p", required=True, type=int)
     sp.add_argument("--I", default=None, help="comma separated simple indices, empty for none")
-    sp.add_argument("--sign-flip", action="store_true", help="alternate structure constant signs")
+    if sign_flip:
+        sp.add_argument(
+            "--sign-flip", action="store_true", help="alternate structure constant signs"
+        )
+
+
+def _add_module_args(sp):
+    """The options _module_from_args reads."""
+    _add_module_params(sp, sign_flip=True)
+    sp.add_argument("--lambda", dest="lam", help="weight coordinates, comma separated")
+    sp.add_argument("--lambda-rho", dest="lam_rho", help="weight plus rho coordinates")
+    sp.add_argument("--chi", help="values on the Levi part, like 1=2,3=1")
+    sp.add_argument("--cap", type=int, default=50000)
 
 
 def build_parser():
@@ -338,11 +342,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("check", help="build one induced module and decide irreducibility")
-    _add_module_params(sp)
-    sp.add_argument("--lambda", dest="lam", help="weight coordinates, comma separated")
-    sp.add_argument("--lambda-rho", dest="lam_rho", help="weight plus rho coordinates")
-    sp.add_argument("--chi", help="values on the Levi part, like 1=2,3=1")
-    sp.add_argument("--cap", type=int, default=50000)
+    _add_module_args(sp)
     sp.add_argument("--lines-cap", type=int, default=10000)
     sp.add_argument("--json", help="write the full report here")
     _add_common(sp)
@@ -366,7 +366,6 @@ def build_parser():
         c.add_argument("--p", required=True, type=int)
         c.add_argument("--r", required=True, help="alcove pairings of the base weight")
         c.add_argument("--cap", type=int, default=50000)
-        c.add_argument("--irr-cap", type=int, default=4000)
         c.add_argument("--lines-cap", type=int, default=10000)
         c.add_argument("--no-build", action="store_true", help="check orbit closed forms only")
         c.add_argument("--json", help="write the report as JSON")
@@ -382,7 +381,7 @@ def build_parser():
     dsub = sp.add_subparsers(dest="sub", required=True)
 
     d = dsub.add_parser("brackets", help="all structure constants, one bracket per line")
-    _add_module_params(d, need_p=False)
+    _add_module_params(d, need_p=False, sign_flip=True)
     _add_common(d)
     d.set_defaults(func=cmd_dump)
 
@@ -392,11 +391,7 @@ def build_parser():
     d.set_defaults(func=cmd_dump)
 
     d = dsub.add_parser("matrix", help="sparse matrix of one generator on a module")
-    _add_module_params(d)
-    d.add_argument("--lambda", dest="lam", help="weight coordinates, comma separated")
-    d.add_argument("--lambda-rho", dest="lam_rho", help="weight plus rho coordinates")
-    d.add_argument("--chi", help="values on the Levi part, like 1=2,3=1")
-    d.add_argument("--cap", type=int, default=50000)
+    _add_module_args(d)
     d.add_argument("--gen", required=True, help="x1, y2, h1 or x:a1+a2")
     _add_common(d)
     d.set_defaults(func=cmd_dump)

@@ -136,6 +136,40 @@ def test_subregular_block_a_small():
     assert rep["dim_sum"] == 125
 
 
+@pytest.mark.parametrize(
+    "block,key", [(subregular_block_a, "lambda"), (subregular_block_b, "lambda_primed")]
+)
+def test_subregular_records_error_row(monkeypatch, block, key):
+    want = [r for r in block(5, (1, 2))["rows"] if not r.get("skipped")]
+    decide = campaigns.is_irreducible
+
+    def flaky(mod, *args, **kwargs):
+        if list(mod.lam) == want[1][key]:
+            raise RuntimeError("boom")
+        return decide(mod, *args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "is_irreducible", flaky)
+    rep = block(5, (1, 2))
+    assert not rep["passed"]
+    rows = [r for r in rep["rows"] if not r.get("skipped")]
+    bad = rows.pop(1)
+    assert bad["verdict"] == "error" and bad["dim"] == "" and not bad["ok"]
+    assert bad["error"] == "RuntimeError: boom"
+    assert "RuntimeError: boom" in bad["traceback"]
+    del want[1]
+    assert [(r["dim"], r["verdict"]) for r in rows] == [
+        (r["dim"], "irreducible") for r in want
+    ]
+
+
+def test_subregular_cap_hit_is_a_skipped_row():
+    rep = subregular_block_a(5, (1, 2), cap=30)
+    rows = rep["rows"]
+    assert [r["verdict"] for r in rows] == ["skipped", "irreducible", "skipped"]
+    assert rows[1]["dim"] == 25
+    assert not rep["sum_ok"] and not rep["passed"]
+
+
 def test_subregular_block_a_closed_forms_random():
     rng = random.Random(7)
     for _ in range(30):

@@ -126,6 +126,36 @@ def test_campaign_subregular_validation_exit(capsys):
     assert "error" in err
 
 
+def test_campaign_subregular_cap_hit_fails(capsys):
+    rc = main(["campaign", "subregular-A", "--p", "5", "--r", "1,2", "--cap", "30"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "i=0 dim= expected=50 skipped" in out
+    assert "subregular-A p=5 r=1,2: FAIL" in out
+
+
+def test_campaign_subregular_error_row_cli(monkeypatch, capsys):
+    from babyverma import campaigns
+
+    def boom(mod, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(campaigns, "is_irreducible", boom)
+    rc = main(["campaign", "subregular-B", "--p", "5", "--r", "1,2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "i=3 dim= expected=125 error" in captured.out
+    assert "error: i=3: RuntimeError: boom" in captured.err
+
+
+def test_campaign_main_theorem_rejects_sign_flip(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "main-theorem", "--type", "A", "--rank", "2", "--p", "5",
+              "--I", "1", "--sign-flip"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_campaign_negative_controls_cli(capsys):
     rc = main(["campaign", "negative-controls"])
     out = capsys.readouterr().out

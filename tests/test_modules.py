@@ -431,6 +431,22 @@ def test_verify_commutators_and_frobenius():
         assert verify_frobenius(mod)
 
 
+@pytest.mark.parametrize("check", [verify_commutators, verify_frobenius])
+def test_verify_checks_reject_a_wrong_column(check):
+    # x_alpha fixing one basis vector breaks both the commutator and
+    # the p-th power law; at dim 50 both checks are exhaustive
+    mod = build_parabolic_baby_verma(A2, _chi(A2, 5, (1,)), (0, 1))
+    bad_key, bad_b = ("x", A2.rs.simple(1)), 7
+    act = mod.act_basis
+
+    def wrong(key, b):
+        return {b: 1} if (key, b) == (bad_key, bad_b) else act(key, b)
+
+    mod.act_basis = wrong
+    with pytest.raises(AssertionError):
+        check(mod)
+
+
 def test_lambda_only_matters_mod_p():
     chi = _chi(A2, 3, (1,))
     a = build_parabolic_baby_verma(A2, chi, (0, 1))
