@@ -128,7 +128,7 @@ def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
     weights = rs.regular_alcove_weights(p)
     tasks = [(typ, rank, p, I, lam, cap, lines_cap) for lam in weights]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(analyze_weight, *zip(*tasks)))
     else:
         rows = [analyze_weight(*t) for t in tasks]

@@ -417,7 +417,7 @@ def main(argv=None):
         if getattr(args, "save_config", None):
             _save_config(args)
         return args.func(args)
-    except (ValueError, CapExceeded) as exc:
+    except (OSError, ValueError, CapExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

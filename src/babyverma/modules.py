@@ -5,8 +5,9 @@ y^a (tensor) l: exponent tuples over the fixed u_J^- order of
 pbw.fix_order times a base-module index, numbered by integers.  It
 straightens left multiplication by root vectors into that basis,
 reducing p-th powers through the p-character.  Left multiplication by
-each slot is one table over monomial ranks, built at construction; the
-action of each generator is one column table over indices, filled on
+each slot is one table over monomial ranks, built at construction, and
+the u_J^- root vectors act through it alone, on the y^a factor.  Each
+other generator acts through one column table over indices, filled on
 first use and shared by act_basis and op_matrix alike.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
@@ -207,14 +208,15 @@ class InducedModule(ModuleBase):
             mdrop[r] = tuple(d + g for d, g in zip(mdrop[rest], order[j]))
             deg[r] = deg[rest] + 1
             by_deg[deg[r]].append(r)
-        corr = {}
-        for k in range(m):
-            for j in range(k):
-                s = tuple(x + y for x, y in zip(order[k], order[j]))
-                if s in self.slot:
-                    c = (-int(self.alg.nconst(order[k], order[j]))) % p
-                    if c:
-                        corr[k, j] = (self.slot[s], c)
+        # brk[k][j]: [y_k, y_j] for j < k, as (slot, coeff) pairs
+        ys = [("y", g) for g in order]
+        brk = [
+            [
+                [(self.slot[y[1]], c) for y, c in self.alg.bracket(yk, yj).items()]
+                for yj in ys[:k]
+            ]
+            for k, yk in enumerate(ys)
+        ]
         tabs = [[None] * n for _ in range(m)]
         for ranks in by_deg:
             for k in range(m):
@@ -235,8 +237,7 @@ class InducedModule(ModuleBase):
                     for e1, c1 in tk[rest].items():
                         for e2, c2 in tj[e1].items():
                             out[e2] = out.get(e2, 0) + c1 * c2
-                    if (k, j) in corr:
-                        s, c = corr[k, j]
+                    for s, c in brk[k][j]:
                         for e2, c2 in tabs[s][rest].items():
                             out[e2] = out.get(e2, 0) + c * c2
                     tk[r] = {e: v % p for e, v in out.items() if v % p}
@@ -258,12 +259,21 @@ class InducedModule(ModuleBase):
 
     def act_basis(self, gkey, b):
         """Action of a basis generator on the basis vector of index b,
-        as {index: coeff}.  For an x or y key this is the memoised
-        column, shared by every caller, op_matrix included: it must not
-        be mutated."""
-        if gkey[0] == "h":
-            c = self.weight_int(b)[gkey[1] - 1] % self.p
+        as {index: coeff}.  The returned dict may be shared: a u_J^- root
+        vector returns its _lm entry itself when levi.dim == 1, and any
+        other x or y key the memoised column that op_matrix stores too.
+        No caller may mutate it."""
+        typ, g = gkey
+        if typ == "h":
+            c = self.weight_int(b)[g - 1] % self.p
             return {b: c} if c else {}
+        ldim = self.levi.dim
+        k = self.slot.get(g)
+        if typ == "y" and k is not None:
+            # left multiplication on the y^a factor alone
+            r, l = divmod(b, ldim)
+            col = self._lm[k][r]
+            return col if ldim == 1 else {r2 * ldim + l: c for r2, c in col.items()}
         col = self._act_cols.get(gkey)
         if col is None:
             col = self._act_cols[gkey] = [None] * self.dim
@@ -272,7 +282,6 @@ class InducedModule(ModuleBase):
             # walk down b, rest(b), ... to a filled entry, then fill
             # upwards, so a cold call recurses only through the bracket
             # keys and never once per unit of exponent
-            ldim = self.levi.dim
             chain = [b]
             r = b // ldim
             while r:
@@ -292,13 +301,9 @@ class InducedModule(ModuleBase):
         ldim = self.levi.dim
         r, l = divmod(b, ldim)
         if not r:
-            typ, g = gkey
-            k = self.slot.get(g)
-            if k is None:
-                return self.levi.act_basis(gkey, l)
-            if typ == "x":
+            if gkey[0] == "x" and gkey[1] in self.slot:
                 return {}
-            return {r2 * ldim + l: c for r2, c in self._lm[k][0].items()}
+            return self.levi.act_basis(gkey, l)
         j = self._lead[r]
         rest = b - self.stride[j] * ldim
         tj = self._lm[j]
@@ -314,15 +319,7 @@ class InducedModule(ModuleBase):
                 self.alg.bracket(gkey, ("y", self.order[j])).items()
             )
         for bkey, bc in brk:
-            if bkey[0] == "h":
-                # the torus acts on y^rest l by a scalar
-                out[rest] = out.get(rest, 0) + bc * self.weight_int(rest)[bkey[1] - 1]
-                continue
-            bcol = self._act_cols.get(bkey)
-            img = None if bcol is None else bcol[rest]
-            if img is None:
-                img = self.act_basis(bkey, rest)
-            for b2, c2 in img.items():
+            for b2, c2 in self.act_basis(bkey, rest).items():
                 out[b2] = out.get(b2, 0) + bc * c2
         return {b2: v % p for b2, v in out.items() if v % p}
 

@@ -83,6 +83,34 @@ def test_main_theorem_worker_pool_matches_serial():
     assert strip(serial["rows"]) == strip(pooled["rows"])
 
 
+def test_main_theorem_forks_at_most_one_worker_per_row(monkeypatch):
+    # a fork pool starts all max_workers processes on the first submit;
+    # an in-process stand-in records the count and starts none
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", InProcessPool)
+    pooled = verify_main_theorem("A", 2, 5, (1,), workers=50)
+    serial = verify_main_theorem("A", 2, 5, (1,))
+    assert seen == [6]
+    strip = lambda rows: [
+        {k: v for k, v in r.items() if k != "millis"} for r in rows
+    ]
+    assert strip(serial["rows"]) == strip(pooled["rows"])
+
+
 def test_main_theorem_records_error_row(monkeypatch):
     from babyverma import campaigns
 

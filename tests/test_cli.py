@@ -87,6 +87,27 @@ def test_check_json_report(tmp_path, capsys):
     assert rep["I"] == [1]
 
 
+_A2_CHECK = ["check", "--type", "A", "--rank", "2", "--p", "5", "--I", "1", "--lambda", "0,0"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _A2_CHECK + ["--json"],
+        ["campaign", "main-theorem", "--type", "A", "--rank", "2", "--p", "5",
+         "--I", "1", "--csv"],
+        _A2_CHECK + ["--save-config"],
+    ],
+)
+def test_unwritable_output_path_exits_2(args, tmp_path, capsys):
+    # exit 1 means reducible or a failing campaign, so a path that
+    # cannot be written must be an error line with exit 2, not a traceback
+    rc = main(args + [str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "missing" in err
+
+
 def test_campaign_main_theorem_cli(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     rc = main(

@@ -1,6 +1,9 @@
 """Induced modules: construction, action correctness, irreducibility."""
 
+import inspect
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -482,6 +485,42 @@ def test_cold_straightening_is_not_recursion_bound():
     # a cold cache at the top exponent used to recurse once per unit
     mod = build_baby_verma(A1, PChar(997, []), (5,))
     assert mod.act_basis(("x", (1,)), 996) == {995: 990}
+
+
+@pytest.mark.parametrize(
+    "typ, rank, p, I, lam",
+    [
+        ("A", 3, 7, (1, 2), (1, 1, 1)),
+        ("C", 3, 5, (1,), (0, 1, 0)),
+        ("D", 4, 3, (1,), (0, 0, 0, 0)),
+        ("B", 2, 13, (2,), (3, 5)),
+    ],
+)
+def test_cold_top_index_calls_stay_shallow_on_multi_slot_modules(typ, rank, p, I, lam):
+    # each key meets the module first at its top index, so its column
+    # and those of its bracket keys fill from a cold start there
+    alg = ChevalleyAlgebra(RootSystem(typ, rank))
+    mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+    keys = list(alg.basis)
+    random.Random(0).shuffle(keys)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 80)
+    try:
+        for key in keys:
+            mod.act_basis(key, mod.dim - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_u_minus_root_vectors_skip_the_column_tables():
+    # a u_J^- root vector acts by left multiplication on the y^a factor
+    # alone, read from the slot table: it never fills a column of its own
+    mod = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
+    assert mod.levi.dim > 1
+    for key in mod.alg.basis:
+        mod.op_matrix(key)
+    assert mod._act_cols
+    assert not [g for typ, g in mod._act_cols if typ == "y" and g in mod.slot]
 
 
 def test_a3_p7_dim_33614_decides():
