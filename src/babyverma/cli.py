@@ -13,6 +13,7 @@ FILE writes the resolved options back in the same format.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -135,7 +136,18 @@ def _module_from_args(args):
     return build_baby_verma(alg, PChar(args.p, ()), lam, cap=args.cap)
 
 
+def _check_writable(*paths):
+    """Fail before any work if an output file could not be created:
+    its directory must exist and be writable."""
+    for path in paths:
+        if path:
+            d = os.path.dirname(os.path.abspath(path))
+            if not (os.path.isdir(d) and os.access(d, os.W_OK)):
+                raise OSError("cannot write %s: no writable directory %s" % (path, d))
+
+
 def cmd_check(args):
+    _check_writable(args.json)
     t0 = time.monotonic()
     mod = _module_from_args(args)
     I = _parse_int_list(args.I)
@@ -193,6 +205,7 @@ def _row_line(sub, row):
 
 
 def cmd_campaign(args):
+    _check_writable(getattr(args, "csv", None), args.json)
     if args.sub == "main-theorem":
         report = campaigns.verify_main_theorem(
             args.type,

@@ -28,16 +28,22 @@ so the closure stops as soon as that vector is reached; only a line
 that fails to generate is closed to full rank.  This decides the
 33 614-dimensional A3 p=7 I={1,2} lambda=(1,1,1) module in seconds.
 
-The radical sums the closures of the non-generating kernel lines as it
-goes, skipping lines already in the sum, and checks on the way that the
-head is simple, which it relies on: HeadNotSimple refuses a module
-outside that premise.
+The radical takes one of two paths, by what the module is.  With a
+one-dimensional base and chi zero on every u_J^- slot (every chi = 0
+baby Verma module and every Levi Verma module behind a Levi head), the
+module is a graded G_1T-module with the highest vector's line as its
+top weight space, so the radical is the annihilator of the closure of
+e*_high under the transposed action: one closure of rank dim(head).
+Any other module sums the closures of its non-generating kernel lines
+as it goes, skipping lines already in the sum, and checks on the way
+that the head is simple, which it relies on: HeadNotSimple refuses a
+module outside that premise.
 """
 
 import itertools
 import random
 
-from .fplin import GradedEchelon, addmul, joint_kernel, span_closure
+from .fplin import Echelon, GradedEchelon, addmul, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import fix_order
 from .roots import LeviDatum
@@ -524,11 +530,45 @@ def is_irreducible(mod, cap=10000):
 
 def radical(mod, cap=10000):
     """The unique maximal submodule, as an echelonized row space in
-    global coordinates.  Relies on the head being simple (every vector
-    outside the radical generates), which holds for the highest-weight
-    modules built here; HeadNotSimple if the non-generating kernel
-    lines are seen to generate together."""
+    global coordinates.  Relies on the head being simple, which holds
+    for the highest-weight modules built here.  An InducedModule with a
+    one-dimensional base and chi zero on every u_J^- slot is a graded
+    G_1T-module with the highest vector's line as top weight space, so
+    its radical is the largest submodule in the kernel of e*_high: the
+    annihilator of the closure of e*_high under the transposed xy
+    action, of rank dim(head), with no kernel lines and no cap.  Any
+    other module closes its non-generating kernel lines (at most cap)
+    and raises HeadNotSimple if they are seen to generate together.
+    Both paths give the same reduced row form."""
+    if isinstance(mod, InducedModule) and mod.levi.dim == 1 and not any(mod.chival):
+        return _annihilator_of_top(mod)
     return _radical_vectors(mod, cap).echelon()
+
+
+def _annihilator_of_top(mod):
+    # The closure W runs on reversed indices i -> n - i, so its min-pivot
+    # rows are W's max-pivot reduced rows.  For each free column f of
+    # that form, e_f - sum_q W[q][f] e_q is the row of pivot f in the
+    # min-pivot reduced form of the annihilator.
+    n, p = mod.dim - 1, mod.p
+    ops = []
+    for op in mod.xy_ops():
+        t = {}
+        for j, col in op.items():
+            for i, c in col.items():
+                t.setdefault(n - i, {})[n - j] = c
+        ops.append(t)
+    w = span_closure(
+        [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
+    ).rows
+    rows = {f: {f: 1} for f in range(mod.dim) if n - f not in w}
+    for rq, row in w.items():
+        for ri, c in row.items():
+            if ri != rq:
+                rows[n - ri][n - rq] = p - c
+    out = Echelon(p)
+    out.rows = rows
+    return out
 
 
 def _radical_vectors(mod, cap):

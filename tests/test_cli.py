@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from babyverma import campaigns, cli
 from babyverma.cli import main
 
 
@@ -105,6 +106,33 @@ def test_unwritable_output_path_exits_2(args, tmp_path, capsys):
     rc = main(args + [str(tmp_path / "missing" / "out")])
     err = capsys.readouterr().err
     assert rc == 2
+    assert err.startswith("error: ") and "missing" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _A2_CHECK + ["--json"],
+        ["campaign", "main-theorem", "--type", "A", "--rank", "2", "--p", "5",
+         "--I", "1", "--csv"],
+        ["campaign", "main-theorem", "--type", "A", "--rank", "2", "--p", "5",
+         "--I", "1", "--json"],
+    ],
+)
+def test_unwritable_output_path_fails_before_any_work(args, tmp_path, monkeypatch, capsys):
+    # the output path is checked first, so no module is built or decided
+    # only to have its result thrown away
+    built = []
+
+    def build(*a, **kw):
+        built.append(a)
+        raise AssertionError("module built before the output path was checked")
+
+    monkeypatch.setattr(cli, "_module_from_args", build)
+    monkeypatch.setattr(campaigns, "build_parabolic_baby_verma", build)
+    rc = main(args + [str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert (rc, built) == (2, [])
     assert err.startswith("error: ") and "missing" in err
 
 

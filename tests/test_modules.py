@@ -533,13 +533,29 @@ def test_a3_p7_dim_33614_decides():
 
 
 def test_radical_matches_per_line_oracle():
-    # the running graded sum skips lines already in it; the reference
+    # chi = 0 modules over a one-dimensional base take the transposed
+    # closure, the parabolic one the running graded sum; the reference
     # closes every non-generating line, then all of them together
+    C2 = ChevalleyAlgebra(RootSystem("C", 2))
+    A3 = ChevalleyAlgebra(RootSystem("A", 3))
+    C3 = ChevalleyAlgebra(RootSystem("C", 3))
     mods = [
         build_baby_verma(alg, PChar(p, []), lam)
-        for alg, p in ((A2, 5), (B2, 3))
+        for alg, p in ((A2, 5), (B2, 3), (C2, 3), (A2, 7))
         for lam in itertools.product(range(p), repeat=2)
     ]
+    mods += [
+        build_baby_verma(A3, PChar(3, []), lam)
+        for lam in ((0, 0, 0), (1, 0, 1), (2, 1, 0), (1, 1, 1))
+    ]
+    # the Levi Verma module behind the C3 p=5 I={1} head at (0,1,0), as
+    # build_levi_simple builds it
+    ld = LeviDatum(C3.rs, (1,))
+    mods.append(
+        modules.InducedModule(
+            C3, PChar(5, ()), ld.levi_roots, TrivialLevi((0, 1, 0)), active=ld.J
+        )
+    )
     mods.append(build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1)))
     for mod in mods:
         vecs = radical_vectors_per_line(mod)
@@ -566,3 +582,55 @@ def test_radical_refuses_a2_p3_regular_nilpotent():
     for fn in (radical, head):
         with pytest.raises(HeadNotSimple, match="simple-head premise"):
             fn(mod)
+
+
+@pytest.mark.parametrize("lam, head_dim", [((1, 0, 1), 48), ((1, 1, 0), 63)])
+def test_b3_p3_heads_past_the_line_cap(lam, head_dim):
+    # the B3 p=3 chi = 0 baby Verma (dim 19 683) has 11 096 kernel lines
+    # at (1,0,1) and 31 815 at (1,1,0), over the default line cap; the
+    # transposed closure builds its head in one closure of rank head_dim
+    B3 = ChevalleyAlgebra(RootSystem("B", 3))
+    q = head(build_baby_verma(B3, PChar(3, []), lam))
+    assert q.dim == head_dim
+    assert is_irreducible(q).irreducible
+    assert verify_commutators(q)
+
+
+def test_radical_path_follows_the_module(monkeypatch):
+    # chi = 0 on every slot over a one-dimensional base closes e*_high
+    # under the transposed action; a 2-dim base, chi != 0 on a slot and
+    # a quotient close kernel lines, which can refuse a non-simple head
+    taken = []
+    for name in ("_radical_vectors", "_annihilator_of_top"):
+        def call(mod, *args, fn=getattr(modules, name), name=name):
+            taken.append(name)
+            return fn(mod, *args)
+
+        monkeypatch.setattr(modules, name, call)
+    levi = TrivialLevi((2,))
+    levi.dim = 2
+    ld = LeviDatum(B2.rs, (2,))
+    cases = [
+        (build_baby_verma(A2, PChar(3, []), (1, 0)), "_annihilator_of_top"),
+        (
+            modules.InducedModule(
+                B2, PChar(5, ()), ld.levi_roots, TrivialLevi((1, 1)), active=ld.J
+            ),
+            "_annihilator_of_top",
+        ),
+        (build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1)), "_radical_vectors"),
+        (head(build_baby_verma(A2, PChar(3, []), (1, 0))), "_radical_vectors"),
+    ]
+    for mod, path in cases:
+        del taken[:]
+        radical(mod)
+        assert taken[0] == path
+    refused = [
+        build_parabolic_baby_verma(A1, PChar(3, []), (2,), order=((1,),), levi=levi),
+        build_baby_verma(A2, PChar(3, [1, 2]), (0, 0)),
+    ]
+    for mod in refused:
+        del taken[:]
+        with pytest.raises(HeadNotSimple, match="simple-head premise"):
+            radical(mod)
+        assert taken == ["_radical_vectors"]
