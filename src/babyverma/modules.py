@@ -5,10 +5,14 @@ y^a (tensor) l: exponent tuples over the fixed u_J^- order of
 pbw.fix_order times a base-module index, numbered by integers.  It
 straightens left multiplication by root vectors into that basis,
 reducing p-th powers through the p-character.  Left multiplication by
-each slot is one table over monomial ranks, built at construction, and
-the u_J^- root vectors act through it alone, on the y^a factor.  Each
-other generator acts through one column table over indices, filled on
-first use and shared by act_basis and op_matrix alike.
+each slot is one table over monomial ranks, and the u_J^- root vectors
+act through it alone, on the y^a factor.  These tables and the weight
+and drop shift of each monomial do not depend on the highest weight:
+they are built once per (algebra, p, u_J^- order, chi on the slots),
+shared by every module of that family and read-only.  The weight
+classes and grades are read from them.  Each other generator acts
+through one column table over indices, filled on first use and shared
+by act_basis and op_matrix alike.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
@@ -108,28 +112,14 @@ class ModuleBase:
         return [self.op_matrix(("x", self.rs.simple(i))) for i in self.active]
 
     def weight_classes(self):
-        """Basis indices grouped by weight mod p, then by drop mod p."""
+        """Basis indices grouped by weight mod p, then by drop mod p, in
+        one ascending pass: each group in the order of its first index."""
         if self._classes is None:
             classes = {}
-            for b in range(self.dim):
-                wt = tuple(v % self.p for v in self.weight_int(b))
-                kap = tuple(v % self.p for v in self.drop_int(b))
+            for b, (wt, kap) in enumerate(zip(self.grades(), self._drops())):
                 classes.setdefault(wt, {}).setdefault(kap, []).append(b)
             self._classes = classes
         return self._classes
-
-    def grades(self):
-        """Weight mod p of each basis index.  The torus acts diagonally
-        and each x/y moves the weight by a root, so the xy action maps
-        a weight-homogeneous vector to a weight-homogeneous one."""
-        if self._grades is None:
-            grades = [None] * self.dim
-            for wt, groups in self.weight_classes().items():
-                for idxs in groups.values():
-                    for b in idxs:
-                        grades[b] = wt
-            self._grades = grades
-        return self._grades
 
 
 class InducedModule(ModuleBase):
@@ -164,7 +154,13 @@ class InducedModule(ModuleBase):
         self.slot = {g: k for k, g in enumerate(self.order)}
         self.chival = [chi.at_root(g) for g in self.order]
         self.stride = [self.p ** (self.m - 1 - k) for k in range(self.m)]
-        self._lead, self._mwt, self._mdrop, self._lm = self._tables()
+        # one copy per family for the algebra's lifetime: besides the
+        # algebra, the key holds all that _tables reads
+        shared = alg.module_tables
+        key = (self.p, self.order, tuple(self.chival))
+        if key not in shared:
+            shared[key] = self._tables()
+        self._lead, self._mwt, self._mdrop, self._lm = shared[key]
         self._act_cols = {}
         self._brk = {}
         self._cols = {}
@@ -255,6 +251,28 @@ class InducedModule(ModuleBase):
         col = self._lm[k][self.rank(exps)]
         return {self.exps(r): c for r, c in col.items()}
 
+    def grades(self):
+        """Weight mod p of each basis index.  The torus acts diagonally
+        and each x/y moves the weight by a root, so the xy action maps
+        a weight-homogeneous vector to a weight-homogeneous one."""
+        if self._grades is None:
+            self._grades = self._sums_mod_p(self._mwt, self._lw)
+        return self._grades
+
+    def _drops(self):
+        return self._sums_mod_p(self._mdrop, self._ld)
+
+    def _sums_mod_p(self, per_rank, per_levi):
+        # per_rank[r] + per_levi[l] mod p at each index r * levi.dim + l,
+        # one shared tuple per distinct (per_rank[r] mod p, l)
+        p = self.p
+        ids = {}
+        rid = [ids.setdefault(tuple([v % p for v in w]), len(ids)) for w in per_rank]
+        sums = [
+            [tuple([(a + b) % p for a, b in zip(k, w)]) for w in per_levi] for k in ids
+        ]
+        return [s for i in rid for s in sums[i]]
+
     def weight_int(self, b):
         r, l = divmod(b, self.levi.dim)
         return tuple(w + s for w, s in zip(self._lw[l], self._mwt[r]))
@@ -266,12 +284,13 @@ class InducedModule(ModuleBase):
     def act_basis(self, gkey, b):
         """Action of a basis generator on the basis vector of index b,
         as {index: coeff}.  The returned dict may be shared: a u_J^- root
-        vector returns its _lm entry itself when levi.dim == 1, and any
-        other x or y key the memoised column that op_matrix stores too.
-        No caller may mutate it."""
+        vector returns its _lm entry itself when levi.dim == 1, which
+        every module of the family reads, and any other x or y key the
+        memoised column that op_matrix stores too.  No caller may mutate
+        it."""
         typ, g = gkey
         if typ == "h":
-            c = self.weight_int(b)[g - 1] % self.p
+            c = self.grades()[b][g - 1]
             return {b: c} if c else {}
         ldim = self.levi.dim
         k = self.slot.get(g)
@@ -362,6 +381,17 @@ class QuotientModule(ModuleBase):
 
     def act_basis(self, key, b):
         return self.project(self.parent.act_basis(key, self.keep[b]))
+
+    def grades(self):
+        """The parent's grades at keep."""
+        if self._grades is None:
+            grades = self.parent.grades()
+            self._grades = [grades[c] for c in self.keep]
+        return self._grades
+
+    def _drops(self):
+        drops = self.parent._drops()
+        return [drops[c] for c in self.keep]
 
     def weight_int(self, b):
         return self.parent.weight_int(self.keep[b])

@@ -7,8 +7,11 @@ for its fast ones: TupleStraightener, the recursive straightening on
 exponent tuples with per-call memos, for the integer column tables of
 modules.InducedModule; and radical_vectors_per_line, which closes every
 non-generating kernel line and then all of them together, for the
-running graded sum of modules._radical_vectors.  check_stable confirms
-that a subspace handed to QuotientModule is stable under the action.
+running graded sum of modules._radical_vectors; and
+classes_per_index, which reads each basis index's weight and drop, for
+the weight classes and grades built from the per-rank tables.
+check_stable confirms that a subspace handed to QuotientModule is
+stable under the action.
 """
 
 import random
@@ -370,3 +373,17 @@ def check_stable(mod, sub):
         for op in mod.xy_ops():
             if sub.reduce(apply_columns(op, row, mod.p)):
                 raise AssertionError("subspace is not action-stable")
+
+
+def classes_per_index(mod):
+    """Weight classes and grades of mod from weight_int and drop_int of
+    each basis index in turn, as the weight_classes and grades methods
+    did before they read the per-rank tables."""
+    p = mod.p
+    classes, grades = {}, []
+    for b in range(mod.dim):
+        wt = tuple(v % p for v in mod.weight_int(b))
+        kap = tuple(v % p for v in mod.drop_int(b))
+        classes.setdefault(wt, {}).setdefault(kap, []).append(b)
+        grades.append(wt)
+    return classes, grades

@@ -1,5 +1,6 @@
 """Induced modules: construction, action correctness, irreducibility."""
 
+import hashlib
 import inspect
 import itertools
 import random
@@ -7,7 +8,13 @@ import sys
 
 import pytest
 
-from _oracles import check_stable, norton_verdict, radical_vectors_per_line, sl2_matrices
+from _oracles import (
+    check_stable,
+    classes_per_index,
+    norton_verdict,
+    radical_vectors_per_line,
+    sl2_matrices,
+)
 from babyverma import modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
 from babyverma.fplin import addmul, span_closure
@@ -634,3 +641,139 @@ def test_radical_path_follows_the_module(monkeypatch):
         with pytest.raises(HeadNotSimple, match="simple-head premise"):
             radical(mod)
         assert taken == ["_radical_vectors"]
+
+
+# ---- per-rank tables shared by a family, and the classes read from them ----
+
+
+def _tables_of(mod):
+    return mod._lead, mod._mwt, mod._mdrop, mod._lm
+
+
+def _levi_verma(alg, p, I, lam):
+    # the Levi Verma module behind a Levi head, as build_levi_simple builds it
+    ld = LeviDatum(alg.rs, I)
+    return modules.InducedModule(
+        alg, PChar(p, ()), ld.levi_roots, TrivialLevi(lam), active=ld.J
+    )
+
+
+def test_a_family_shares_one_set_of_tables():
+    # the tables read p, the u_J^- order and chi on the slots, never lam;
+    # two equal characters are two objects but one family
+    alg = ChevalleyAlgebra(RootSystem("A", 2))
+    a = build_parabolic_baby_verma(alg, _chi(alg, 5, (1,)), (0, 1))
+    b = build_parabolic_baby_verma(alg, _chi(alg, 5, (1,)), (3, 2))
+    assert a.lam != b.lam
+    assert all(ta is tb for ta, tb in zip(_tables_of(a), _tables_of(b)))
+    assert _tables_of(a) == a._tables()
+
+
+A2_FLIP = ChevalleyAlgebra(RootSystem("A", 2), sign_flip=True)
+
+
+@pytest.mark.parametrize(
+    "build_a, build_b",
+    [
+        # chi differs on a slot
+        (
+            lambda: build_parabolic_baby_verma(A2, _chi(A2, 5, (1,), {1: 2}), (1, 2)),
+            lambda: build_parabolic_baby_verma(A2, _chi(A2, 5, (1,), {1: 1}), (1, 2)),
+        ),
+        # another p
+        (
+            lambda: build_baby_verma(A2, PChar(5, ()), (1, 2)),
+            lambda: build_baby_verma(A2, PChar(7, ()), (1, 2)),
+        ),
+        # another algebra with the same root system
+        (
+            lambda: build_baby_verma(A2, PChar(5, ()), (1, 2)),
+            lambda: build_baby_verma(A2_FLIP, PChar(5, ()), (1, 2)),
+        ),
+        # another u_J^- order: the Levi Verma module of B2 I={2}
+        (
+            lambda: build_baby_verma(B2, PChar(5, ()), (1, 1)),
+            lambda: _levi_verma(B2, 5, (2,), (1, 1)),
+        ),
+    ],
+    ids=["chi", "p", "sign_flip", "order"],
+)
+def test_other_families_get_their_own_tables(build_a, build_b):
+    # built in both orders, each module's tables equal a fresh build
+    for first, second in ((build_a, build_b), (build_b, build_a)):
+        a, b = first(), second()
+        assert a._lm is not b._lm
+        assert a._lm != b._lm
+        assert _tables_of(a) == a._tables()
+        assert _tables_of(b) == b._tables()
+
+
+def test_shuffled_family_reports_match_fresh_algebras():
+    # lam and chi vary within one algebra; each module built in a fresh
+    # algebra, so with tables of its own, must give the same report
+    cases = [
+        (typ, I, None, lam)
+        for typ in ("A", "B")
+        for I in ((), (1,), (2,))
+        for lam in ((0, 0), (1, 2), (3, 1), (4, 4))
+    ]
+    cases += [("B", (2,), {2: 3}, lam) for lam in ((1, 1), (2, 0))]
+    cases += [("A", (1,), {1: 4}, lam) for lam in ((1, 2), (0, 3))]
+    random.Random(7).shuffle(cases)
+
+    def decide(alg, I, values, lam):
+        mod = build_parabolic_baby_verma(alg, _chi(alg, 5, I, values), lam)
+        return is_irreducible(mod).to_dict(), radical(mod).rows
+
+    shared = {typ: ChevalleyAlgebra(RootSystem(typ, 2)) for typ in ("A", "B")}
+    for typ, I, values, lam in cases:
+        fresh = ChevalleyAlgebra(RootSystem(typ, 2))
+        assert decide(shared[typ], I, values, lam) == decide(fresh, I, values, lam)
+
+
+def _digest(tables):
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "chi, lams",
+    [(PChar(5, ()), [(1, 2), (3, 1)]), (_chi(A2, 5, (1,)), [(0, 1), (0, 3)])],
+    ids=["chi0", "chi_I1"],
+)
+def test_shared_tables_stay_unchanged(chi, lams):
+    # over a one-dimensional base act_basis hands out the _lm dicts
+    # themselves: no caller may write into them
+    alg = ChevalleyAlgebra(RootSystem("A", 2))
+    mods = [build_baby_verma(alg, chi, lam) for lam in lams]
+    assert mods[0].levi.dim == 1 and mods[0]._lm is mods[1]._lm
+    before = _digest(_tables_of(mods[0]))
+    for mod in mods:
+        maximal_vectors(mod)
+        is_irreducible(mod)
+        head(mod)
+        assert verify_commutators(mod)
+        assert verify_frobenius(mod)
+        assert _digest(_tables_of(mods[0])) == before
+
+
+def _ordered(classes):
+    return [(wt, list(groups.items())) for wt, groups in classes.items()]
+
+
+def test_classes_and_grades_match_the_per_index_reading():
+    C3 = ChevalleyAlgebra(RootSystem("C", 3))
+    parabolic = build_parabolic_baby_verma(C3, _chi(C3, 5, (1,)), (0, 1, 0))
+    assert parabolic.levi.dim == 4
+    mods = [
+        build_baby_verma(A2, PChar(5, ()), (1, 2)),
+        parabolic,
+        _levi_verma(C3, 5, (1,), (0, 1, 0)),
+        parabolic.levi,
+        head(build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))),
+    ]
+    assert isinstance(mods[3], QuotientModule) and isinstance(mods[4], QuotientModule)
+    for mod in mods:
+        classes, grades = classes_per_index(mod)
+        assert _ordered(mod.weight_classes()) == _ordered(classes)
+        assert mod.grades() == grades
+
