@@ -23,7 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .chevalley import ChevalleyAlgebra, make_pchar
 from .fplin import span_closure
-from .modules import CapExceeded, build_parabolic_baby_verma, is_irreducible
+from .modules import (
+    DIM_CAP,
+    LINES_CAP,
+    CapExceeded,
+    build_parabolic_baby_verma,
+    is_irreducible,
+)
 from .roots import RootSystem, shape_check
 
 CSV_COLUMNS = [
@@ -115,14 +121,14 @@ def _decide(row, alg, chi, lam, cap, lines_cap):
     return row
 
 
-def analyze_weight(typ, rank, p, I, lam, cap=50000, lines_cap=10000):
+def analyze_weight(typ, rank, p, I, lam, cap=DIM_CAP, lines_cap=LINES_CAP):
     """One sweep row: build the induced module at lam and decide."""
     alg = _algebra(typ, rank)
     row = _row(typ, rank, p, I, lam)
     return _decide(row, alg, make_pchar(alg, p, I), lam, cap, lines_cap)
 
 
-def verify_main_theorem(typ, rank, p, I, cap=50000, lines_cap=10000, workers=1):
+def verify_main_theorem(typ, rank, p, I, cap=DIM_CAP, lines_cap=LINES_CAP, workers=1):
     rs = check_sweep_params(typ, rank, p, I)
     I = tuple(sorted(set(I)))
     weights = rs.regular_alcove_weights(p)
@@ -170,7 +176,7 @@ def _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, lines_cap):
     return row
 
 
-def subregular_block_a(p, r, cap=50000, lines_cap=10000, build=True):
+def subregular_block_a(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
     """Orbit of the Coxeter element in type A_n with I = {1..n-1}.
 
     r lists the alcove pairings of the base weight: lam_0 + rho = r,
@@ -224,7 +230,7 @@ def subregular_block_a(p, r, cap=50000, lines_cap=10000, build=True):
     }
 
 
-def subregular_block_b(p, r, cap=50000, lines_cap=10000, build=True):
+def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
     """Orbit rows in type B_n with I = {2..n}.
 
     r lists the alcove pairings of the base weight; the interior

@@ -20,6 +20,8 @@ import time
 from . import campaigns
 from .chevalley import ChevalleyAlgebra, PChar, make_pchar
 from .modules import (
+    DIM_CAP,
+    LINES_CAP,
     CapExceeded,
     build_baby_verma,
     build_parabolic_baby_verma,
@@ -344,7 +346,7 @@ def _add_module_args(sp):
     sp.add_argument("--lambda", dest="lam", help="weight coordinates, comma separated")
     sp.add_argument("--lambda-rho", dest="lam_rho", help="weight plus rho coordinates")
     sp.add_argument("--chi", help="values on the Levi part, like 1=2,3=1")
-    sp.add_argument("--cap", type=int, default=50000)
+    sp.add_argument("--cap", type=int, default=DIM_CAP)
 
 
 def build_parser():
@@ -356,7 +358,7 @@ def build_parser():
 
     sp = sub.add_parser("check", help="build one induced module and decide irreducibility")
     _add_module_args(sp)
-    sp.add_argument("--lines-cap", type=int, default=10000)
+    sp.add_argument("--lines-cap", type=int, default=LINES_CAP)
     sp.add_argument("--json", help="write the full report here")
     _add_common(sp)
     sp.set_defaults(func=cmd_check)
@@ -366,8 +368,8 @@ def build_parser():
 
     c = csub.add_parser("main-theorem", help="sweep all alcove-regular weights")
     _add_module_params(c)
-    c.add_argument("--cap", type=int, default=50000)
-    c.add_argument("--lines-cap", type=int, default=10000)
+    c.add_argument("--cap", type=int, default=DIM_CAP)
+    c.add_argument("--lines-cap", type=int, default=LINES_CAP)
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--csv", help="write rows as CSV")
     c.add_argument("--json", help="write the report as JSON")
@@ -378,8 +380,8 @@ def build_parser():
         c = csub.add_parser(name, help="walk one subregular orbit block")
         c.add_argument("--p", required=True, type=int)
         c.add_argument("--r", required=True, help="alcove pairings of the base weight")
-        c.add_argument("--cap", type=int, default=50000)
-        c.add_argument("--lines-cap", type=int, default=10000)
+        c.add_argument("--cap", type=int, default=DIM_CAP)
+        c.add_argument("--lines-cap", type=int, default=LINES_CAP)
         c.add_argument("--no-build", action="store_true", help="check orbit closed forms only")
         c.add_argument("--json", help="write the report as JSON")
         _add_common(c)

@@ -10,9 +10,9 @@ act through it alone, on the y^a factor.  These tables and the weight
 and drop shift of each monomial do not depend on the highest weight:
 they are built once per (algebra, p, u_J^- order, chi on the slots),
 shared by every module of that family and read-only.  The weight
-classes and grades are read from them.  Each other generator acts
-through one column table over indices, filled on first use and shared
-by act_basis and op_matrix alike.
+classes and grades are read from them.  Every other x or y generator
+acts through one column table over indices, filled whole in index order
+on the generator's first use and shared by act_basis and op_matrix.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
@@ -51,6 +51,11 @@ from .fplin import Echelon, GradedEchelon, addmul, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import fix_order
 from .roots import LeviDatum
+
+
+# default caps: basis vectors of a built module, kernel lines tested
+DIM_CAP = 50000
+LINES_CAP = 10000
 
 
 class CapExceeded(Exception):
@@ -162,26 +167,9 @@ class InducedModule(ModuleBase):
             shared[key] = self._tables()
         self._lead, self._mwt, self._mdrop, self._lm = shared[key]
         self._act_cols = {}
-        self._brk = {}
         self._cols = {}
         self._classes = None
         self._grades = None
-
-    def rank(self, exps):
-        r = 0
-        for a in exps:
-            r = r * self.p + a
-        return r
-
-    def exps(self, r):
-        return tuple((r // s) % self.p for s in self.stride)
-
-    def index_of(self, exps, l):
-        return self.rank(exps) * self.levi.dim + l
-
-    def vector_at(self, b):
-        r, l = divmod(b, self.levi.dim)
-        return self.exps(r), l
 
     def _tables(self):
         """Per-rank tables: lead[r], the leading (first nonzero) slot of
@@ -245,12 +233,6 @@ class InducedModule(ModuleBase):
                     tk[r] = {e: v % p for e, v in out.items() if v % p}
         return lead, mwt, mdrop, tabs
 
-    def leftmul(self, k, exps):
-        """y_k . y^exps inside the chi-reduced nilradical, as
-        {exps': coeff}."""
-        col = self._lm[k][self.rank(exps)]
-        return {self.exps(r): c for r, c in col.items()}
-
     def grades(self):
         """Weight mod p of each basis index.  The torus acts diagonally
         and each x/y moves the weight by a root, so the xy action maps
@@ -283,11 +265,11 @@ class InducedModule(ModuleBase):
 
     def act_basis(self, gkey, b):
         """Action of a basis generator on the basis vector of index b,
-        as {index: coeff}.  The returned dict may be shared: a u_J^- root
-        vector returns its _lm entry itself when levi.dim == 1, which
-        every module of the family reads, and any other x or y key the
-        memoised column that op_matrix stores too.  No caller may mutate
-        it."""
+        as {index: coeff}: h reads the grades, a u_J^- root vector its
+        slot table _lm, any other key entry b of its column table, which
+        the first call fills whole.  The dict may be shared (the family's
+        _lm entry when levi.dim == 1, or the column op_matrix also
+        stores): no caller may mutate it."""
         typ, g = gkey
         if typ == "h":
             c = self.grades()[b][g - 1]
@@ -299,54 +281,39 @@ class InducedModule(ModuleBase):
             r, l = divmod(b, ldim)
             col = self._lm[k][r]
             return col if ldim == 1 else {r2 * ldim + l: c for r2, c in col.items()}
-        col = self._act_cols.get(gkey)
-        if col is None:
-            col = self._act_cols[gkey] = [None] * self.dim
-        out = col[b]
-        if out is None:
-            # walk down b, rest(b), ... to a filled entry, then fill
-            # upwards, so a cold call recurses only through the bracket
-            # keys and never once per unit of exponent
-            chain = [b]
-            r = b // ldim
-            while r:
-                rest = chain[-1] - self.stride[self._lead[r]] * ldim
-                if col[rest] is not None:
-                    break
-                chain.append(rest)
-                r = rest // ldim
-            for c in reversed(chain):
-                out = col[c] = self._column(gkey, c, col)
-        return out
+        return self._table(gkey)[b]
 
-    def _column(self, gkey, b, col):
-        # y^a = y_j y^rest with j the leading slot of a:
-        # g y_j y^rest l = y_j (g y^rest l) + [g, y_j] y^rest l
-        p = self.p
-        ldim = self.levi.dim
-        r, l = divmod(b, ldim)
-        if not r:
-            if gkey[0] == "x" and gkey[1] in self.slot:
-                return {}
-            return self.levi.act_basis(gkey, l)
-        j = self._lead[r]
-        rest = b - self.stride[j] * ldim
-        tj = self._lm[j]
-        out = {}
-        for b1, c1 in col[rest].items():
-            r1, l1 = divmod(b1, ldim)
-            for r2, c2 in tj[r1].items():
-                b2 = r2 * ldim + l1
-                out[b2] = out.get(b2, 0) + c1 * c2
-        brk = self._brk.get((gkey, j))
-        if brk is None:
-            brk = self._brk[gkey, j] = tuple(
-                self.alg.bracket(gkey, ("y", self.order[j])).items()
-            )
-        for bkey, bc in brk:
-            for b2, c2 in self.act_basis(bkey, rest).items():
-                out[b2] = out.get(b2, 0) + bc * c2
-        return {b2: v % p for b2, v in out.items() if v % p}
+    def _table(self, gkey):
+        # The column table of an x or non-slot y key, filled whole on first
+        # use.  With j the leading slot of y^a = y_j y^rest,
+        #   g y_j y^rest l = y_j (g y^rest l) + [g, y_j] y^rest l,
+        # and rest(b) < b, so filling in index order reads only filled
+        # entries.  A bracket key's table fills on its first read and
+        # never reads g's own: [x_a, y_c] is h, a y key or an x key of
+        # lower height, and [y_d, y_c] a y key of greater height.
+        tab = self._act_cols.get(gkey)
+        if tab is not None:
+            return tab
+        p, ldim, lead, stride = self.p, self.levi.dim, self._lead, self.stride
+        u_x = gkey[0] == "x" and gkey[1] in self.slot
+        tab = [{} if u_x else self.levi.act_basis(gkey, l) for l in range(ldim)]
+        brk = [tuple(self.alg.bracket(gkey, ("y", g)).items()) for g in self.order]
+        for b in range(ldim, self.dim):
+            j = lead[b // ldim]
+            rest = b - stride[j] * ldim
+            tj = self._lm[j]
+            out = {}
+            for b1, c1 in tab[rest].items():
+                r1, l1 = divmod(b1, ldim)
+                for r2, c2 in tj[r1].items():
+                    b2 = r2 * ldim + l1
+                    out[b2] = out.get(b2, 0) + c1 * c2
+            for bkey, bc in brk[j]:
+                for b2, c2 in self.act_basis(bkey, rest).items():
+                    out[b2] = out.get(b2, 0) + bc * c2
+            tab.append({b2: v % p for b2, v in out.items() if v % p})
+        self._act_cols[gkey] = tab
+        return tab
 
 
 class QuotientModule(ModuleBase):
@@ -415,7 +382,7 @@ def build_levi_simple(alg, p, I, lam):
     return head(InducedModule(alg, chi0, ld.levi_roots, TrivialLevi(lam), active=ld.J))
 
 
-def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
+def build_parabolic_baby_verma(alg, chi, lam, cap=DIM_CAP, order=None, levi=None):
     """Module induced from the Levi simple head at lam, with chi of
     standard Levi form supported on I."""
     rs = alg.rs
@@ -437,7 +404,7 @@ def build_parabolic_baby_verma(alg, chi, lam, cap=50000, order=None, levi=None):
     return InducedModule(alg, chi, order, levi)
 
 
-def build_baby_verma(alg, chi, lam, cap=50000, order=None):
+def build_baby_verma(alg, chi, lam, cap=DIM_CAP, order=None):
     """Module induced from the one-dimensional weight space at lam over
     the full Borel, for any chi of standard Levi form."""
     if order is None:
@@ -546,7 +513,7 @@ def _kernel_lines(mod, cap):
     return {k: len(v) for k, v in mv.items()}, lines()
 
 
-def is_irreducible(mod, cap=10000):
+def is_irreducible(mod, cap=LINES_CAP):
     """Exact irreducibility decision; raises CapExceeded if the number
     of kernel lines to test exceeds cap."""
     profile, lines = _kernel_lines(mod, cap)
@@ -558,7 +525,7 @@ def is_irreducible(mod, cap=10000):
     return IrreducibilityReport(True, mod, profile, None, None, checked)
 
 
-def radical(mod, cap=10000):
+def radical(mod, cap=LINES_CAP):
     """The unique maximal submodule, as an echelonized row space in
     global coordinates.  Relies on the head being simple, which holds
     for the highest-weight modules built here.  An InducedModule with a
@@ -634,11 +601,16 @@ def _radical_vectors(mod, cap):
     return bad
 
 
-def head(mod, cap=10000):
+def head(mod, cap=LINES_CAP):
     return QuotientModule(mod, radical(mod, cap))
 
 
 # ---- representation checks ----
+
+# verify_* check every basis vector up to these dims, samples beyond
+EXHAUSTIVE_LIMIT = 700
+SAMPLES = 10000
+SAMPLE_LIMIT = 1500
 
 
 def _apply(mod, key, vec):
@@ -649,13 +621,13 @@ def _apply(mod, key, vec):
     return out
 
 
-def verify_commutators(mod, exhaustive_limit=700, samples=10000, seed=0):
+def verify_commutators(mod, seed=0):
     """Check rho([a,b]) = rho(a)rho(b) - rho(b)rho(a) on basis vectors.
     Exhaustive over all generator pairs and all basis vectors up to
-    exhaustive_limit, sampled triples beyond."""
+    EXHAUSTIVE_LIMIT, SAMPLES sampled triples beyond."""
     p = mod.p
     keys = list(mod.alg.basis)
-    if mod.dim <= exhaustive_limit:
+    if mod.dim <= EXHAUSTIVE_LIMIT:
         triples = (
             (a, b, c)
             for ai, a in enumerate(keys)
@@ -667,7 +639,7 @@ def verify_commutators(mod, exhaustive_limit=700, samples=10000, seed=0):
         triples = (
             (keys[rng.randrange(len(keys))], keys[rng.randrange(len(keys))],
              rng.randrange(mod.dim))
-            for _ in range(samples)
+            for _ in range(SAMPLES)
         )
     for a, b, c in triples:
         lhs = _apply(mod, a, mod.act_basis(b, c))
@@ -682,15 +654,16 @@ def verify_commutators(mod, exhaustive_limit=700, samples=10000, seed=0):
     return True
 
 
-def verify_frobenius(mod, sample_limit=1500, seed=0):
+def verify_frobenius(mod, seed=0):
     """Check the p-th power laws on the module: x_g^p = 0,
-    y_g^p = chi(y_g)^p, h_i^p = h_i as operators."""
+    y_g^p = chi(y_g)^p, h_i^p = h_i as operators, on every basis
+    vector up to SAMPLE_LIMIT and on that many sampled ones beyond."""
     p = mod.p
-    if mod.dim <= sample_limit:
+    if mod.dim <= SAMPLE_LIMIT:
         idxs = range(mod.dim)
     else:
         rng = random.Random(seed)
-        idxs = sorted(rng.sample(range(mod.dim), sample_limit))
+        idxs = sorted(rng.sample(range(mod.dim), SAMPLE_LIMIT))
     for key in mod.alg.basis:
         scalar = pow(mod.chi.at_root(key[1]), p, p) if key[0] == "y" else 0
         for b in idxs:

@@ -2,15 +2,16 @@
 
 fix_order picks the total order of the u_J^- root vectors used for
 monomial exponents.  For the Levi shapes where the irreducibility
-argument needs a specific order (prefix/suffix chains in type A, the
-suffix shape in type B, the prefix shape in type C, the two admissible
-shapes in type D), it reproduces that order exactly; anything else
-falls back to height-then-lexicographic.  The choice only fixes the
-basis enumeration, not the module; modules.InducedModule straightens
-on the basis it numbers.
+argument needs a specific order (the shapes of roots.shape_check other
+than the full set: prefix/suffix chains in type A, the suffix shape in
+type B, the prefix shape in type C, the two admissible shapes in type
+D), it reproduces that order exactly; anything else falls back to
+height-then-lexicographic.  The choice only fixes the basis
+enumeration, not the module; modules.InducedModule straightens on the
+basis it numbers.
 """
 
-from .roots import LeviDatum
+from .roots import LeviDatum, shape_check
 
 
 def _ones(n, t, j):
@@ -26,12 +27,14 @@ def _max_support(g):
     return max(i for i, c in enumerate(g) if c) + 1
 
 
-def _order_type_a(n, s):
-    out = []
-    for j in range(1, n + 1):
-        for t in range(1, min(j, s) + 1):
-            out.append(_ones(n, t, j))
-    return out
+def _order_type_a(rs, ld):
+    n, s = rs.n, len(ld.I)
+    return [_ones(n, t, j) for j in range(1, n + 1) for t in range(1, min(j, s) + 1)]
+
+
+def _order_type_a_suffix(rs, ld):
+    # the prefix order of the mirrored Dynkin diagram
+    return [tuple(reversed(g)) for g in _order_type_a(rs, ld)]
 
 
 def _order_type_b(rs, ld):
@@ -116,6 +119,17 @@ def _order_type_d_chain(rs, ld):
     return out
 
 
+# the order for each (type, roots.shape_check shape) that needs one
+_ORDERS = {
+    ("A", "prefix"): _order_type_a,
+    ("A", "suffix"): _order_type_a_suffix,
+    ("B", "suffix"): _order_type_b,
+    ("C", "prefix"): _order_type_c,
+    ("D", "suffix"): _order_type_d_suffix,
+    ("D", "chain"): _order_type_d_chain,
+}
+
+
 def fix_order(rs, I):
     """Total order on the u_J^- roots as a tuple of coefficient
     tuples."""
@@ -123,26 +137,7 @@ def fix_order(rs, I):
     u = list(ld.u_roots)
     if not u:
         return ()
-    n = rs.n
-    I = ld.I
-    k = len(I)
-    prefix = I == tuple(range(1, k + 1))
-    suffix = I == tuple(range(n - k + 1, n + 1))
-    out = None
-    if k < n:
-        if rs.typ == "A" and prefix:
-            out = _order_type_a(n, k)
-        elif rs.typ == "A" and suffix:
-            out = [tuple(reversed(g)) for g in _order_type_a(n, k)]
-        elif rs.typ == "B" and suffix:
-            out = _order_type_b(rs, ld)
-        elif rs.typ == "C" and prefix:
-            out = _order_type_c(rs, ld)
-        elif rs.typ == "D" and suffix and I[0] <= n - 2:
-            out = _order_type_d_suffix(rs, ld)
-        elif rs.typ == "D" and I == tuple(range(1, n)):
-            out = _order_type_d_chain(rs, ld)
-    if out is None:
-        out = sorted(u, key=lambda g: (sum(g), g))
+    build = _ORDERS.get((rs.typ, shape_check(rs, ld.I)))
+    out = build(rs, ld) if build else sorted(u, key=lambda g: (sum(g), g))
     assert sorted(out) == sorted(u)
     return tuple(out)

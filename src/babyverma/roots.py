@@ -1,5 +1,5 @@
 """Root systems of types A/B/C/D: positive roots, pairings, Weyl and
-affine Weyl dot actions, alcove tests, weight decompositions.
+affine Weyl dot actions, alcove tests and the admissible Levi shapes.
 
 Conventions. Roots are tuples of coefficients over the simple roots
 alpha_1..alpha_n. Weights are tuples of fundamental coordinates,
@@ -205,12 +205,6 @@ class RootSystem:
                 out.append(lam)
         return out
 
-    def decompose_weight(self, lam, p):
-        """lam = lam0 + p*lam1 with lam0 coordinates in [0, p)."""
-        lam0 = tuple(x % p for x in lam)
-        lam1 = tuple((x - r) // p for x, r in zip(lam, lam0))
-        return lam0, lam1
-
     def evector(self, root):
         """Coordinates of the root over the orthogonal e_i basis
         (length n+1 for type A, n otherwise)."""
@@ -255,26 +249,24 @@ class LeviDatum:
 
 
 def shape_check(rs, I):
-    """Whether I is one of the connected-segment shapes with a proven
-    irreducibility statement: A prefix/suffix, B suffix, C prefix, D
-    fork-suffix or the full chain omitting the fork tip alpha_n. The
-    full set I = Pi (regular nilpotent) always passes."""
+    """The shape of I, if it is one of the connected-segment shapes with
+    a proven irreducibility statement, else None: "prefix" or "suffix"
+    in type A, "suffix" in type B, "prefix" in type C, and in type D
+    "suffix" with I[0] <= n-2 or "chain", the full chain omitting the
+    fork tip alpha_n.  The full set I = Pi (regular nilpotent) is
+    "full".  pbw.fix_order picks its monomial order by this shape."""
     I = tuple(sorted(set(I)))
-    n = rs.n
+    n, k = rs.n, len(I)
     if not I or any(i < 1 or i > n for i in I):
-        return False
-    if len(I) == n:
-        return True
-    prefix = I == tuple(range(1, len(I) + 1))
-    suffix = I == tuple(range(n - len(I) + 1, n + 1))
-    if rs.typ == "A":
-        return prefix or suffix
-    if rs.typ == "B":
-        return suffix
-    if rs.typ == "C":
-        return prefix
-    if rs.typ == "D":
-        if suffix and I[0] <= n - 2:
-            return True
-        return I == tuple(range(1, n))
-    return False
+        return None
+    if k == n:
+        return "full"
+    prefix = I == tuple(range(1, k + 1))
+    suffix = I == tuple(range(n - k + 1, n + 1))
+    if suffix and (rs.typ in "AB" or rs.typ == "D" and I[0] <= n - 2):
+        return "suffix"
+    if prefix and rs.typ in "AC":
+        return "prefix"
+    if rs.typ == "D" and I == tuple(range(1, n)):
+        return "chain"
+    return None

@@ -11,7 +11,9 @@ running graded sum of modules._radical_vectors; and
 classes_per_index, which reads each basis index's weight and drop, for
 the weight classes and grades built from the per-rank tables.
 check_stable confirms that a subspace handed to QuotientModule is
-stable under the action.
+stable under the action.  The basis bookkeeping of an InducedModule
+(monomial ranks, index_of, vector_at, leftmul on exponent tuples) and
+decompose_weight are read only by tests, so they live here too.
 """
 
 import random
@@ -387,3 +389,41 @@ def classes_per_index(mod):
         classes.setdefault(wt, {}).setdefault(kap, []).append(b)
         grades.append(wt)
     return classes, grades
+
+
+# ---- basis bookkeeping of an InducedModule, for tests ----
+
+
+def monomial_rank(mod, exps):
+    """Rank of y^exps: mixed radix p, slot 0 most significant."""
+    r = 0
+    for a in exps:
+        r = r * mod.p + a
+    return r
+
+
+def monomial_exps(mod, r):
+    return tuple((r // s) % mod.p for s in mod.stride)
+
+
+def index_of(mod, exps, l):
+    return monomial_rank(mod, exps) * mod.levi.dim + l
+
+
+def vector_at(mod, b):
+    r, l = divmod(b, mod.levi.dim)
+    return monomial_exps(mod, r), l
+
+
+def leftmul(mod, k, exps):
+    """y_k . y^exps inside the chi-reduced nilradical, as
+    {exps': coeff}, read from the module's slot table."""
+    col = mod._lm[k][monomial_rank(mod, exps)]
+    return {monomial_exps(mod, r): c for r, c in col.items()}
+
+
+def decompose_weight(lam, p):
+    """lam = lam0 + p*lam1 with lam0 coordinates in [0, p)."""
+    lam0 = tuple(x % p for x in lam)
+    lam1 = tuple((x - r) // p for x, r in zip(lam, lam0))
+    return lam0, lam1

@@ -11,9 +11,11 @@ import pytest
 from _oracles import (
     check_stable,
     classes_per_index,
+    index_of,
     norton_verdict,
     radical_vectors_per_line,
     sl2_matrices,
+    vector_at,
 )
 from babyverma import modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
@@ -103,10 +105,10 @@ def test_basis_enumeration_contract():
     chi = _chi(A2, 5, (1,))
     mod = build_parabolic_baby_verma(A2, chi, (0, 1))
     assert mod.levi.dim == 2
-    assert mod.vector_at(0) == ((0, 0), 0)
-    assert mod.vector_at(1) == ((0, 0), 1)
-    assert mod.vector_at(2) == ((0, 1), 0)
-    assert mod.index_of((0, 0), 1) == 1
+    assert vector_at(mod, 0) == ((0, 0), 0)
+    assert vector_at(mod, 1) == ((0, 0), 1)
+    assert vector_at(mod, 2) == ((0, 1), 0)
+    assert index_of(mod, (0, 0), 1) == 1
     assert mod.dim == 5 ** 2 * 2
 
 
@@ -148,7 +150,7 @@ def test_act_on_highest_vector():
     # x_1 y_1 (top) = [x_1, y_1] top = <lam, h_1> top
     for lam, want in [((0, 0), {}), ((1, 0), {0: 1})]:
         mod = build_parabolic_baby_verma(A2, chi, lam)
-        b = mod.index_of((1, 0), mod.levi.high)
+        b = index_of(mod, (1, 0), mod.levi.high)
         assert mod.act_basis(("x", g1), b) == want
 
 
@@ -158,8 +160,8 @@ def test_character_wrap_on_top_slot():
         chi = _chi(A2, p, (1,), {1: c})
         mod = build_parabolic_baby_verma(A2, chi, (0, 0))
         g1 = A2.rs.simple(1)
-        b = mod.index_of((p - 1, 0), 0)
-        assert mod.act_basis(("y", g1), b) == {mod.index_of((0, 0), 0): c}
+        b = index_of(mod, (p - 1, 0), 0)
+        assert mod.act_basis(("y", g1), b) == {index_of(mod, (0, 0), 0): c}
 
 
 def test_action_respects_grading():
@@ -226,10 +228,10 @@ def test_borel_induction_surjects_onto_parabolic(lam):
     # phi(y^a y^b (x) top) = y^a (x) (y^b . top), linear over the base
     themap = []
     for b in range(big.dim):
-        exps, _ = big.vector_at(b)
+        exps, _ = vector_at(big, b)
         down = _levi_lower(levi, ld.levi_roots, exps[mu:], p)
         themap.append(
-            {small.index_of(exps[:mu], l): c for l, c in down.items()}
+            {index_of(small, exps[:mu], l): c for l, c in down.items()}
         )
 
     def push(vec):
@@ -528,6 +530,52 @@ def test_u_minus_root_vectors_skip_the_column_tables():
         mod.op_matrix(key)
     assert mod._act_cols
     assert not [g for typ, g in mod._act_cols if typ == "y" and g in mod.slot]
+
+
+BRACKET_ALGEBRAS = [
+    ChevalleyAlgebra(RootSystem(typ, n))
+    for typ, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (4, 5)))
+    for n in ranks
+]
+
+
+@pytest.mark.parametrize("alg", BRACKET_ALGEBRAS, ids=lambda a: "%s%d" % (a.rs.typ, a.rs.n))
+def test_bracket_keys_come_before_the_table_they_fill(alg):
+    # a column table reads the tables of the keys [g, y_c] for each
+    # u_J^- root c; filled in index order on first read, they must never
+    # lead back to g: an x key brackets into lower x keys, Levi y keys, h
+    # or u_J^- y, a Levi y key into u_J^- y alone
+    rs = alg.rs
+    for k in range(rs.n + 1):
+        for I in itertools.combinations(range(1, rs.n + 1), k):
+            order = fix_order(rs, I)
+            u = set(order)
+            for typ, g in alg.basis:
+                if typ == "h" or typ == "y" and g in u:
+                    continue
+                for c in order:
+                    for (btyp, bg), _ in alg.bracket((typ, g), ("y", c)).items():
+                        if typ == "y":
+                            assert btyp == "y" and bg in u, (I, g, c)
+                        elif btyp == "x":
+                            assert sum(bg) < sum(g), (I, g, c)
+
+
+def test_one_cold_call_fills_the_whole_table():
+    # B2 p=5 I={2} at (1,1) has a 2-dim Levi head
+    mod = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
+    assert mod.levi.dim == 2
+    keys = [k for k in B2.basis if k[0] == "x" or k[0] == "y" and k[1] not in mod.slot]
+    for key in keys:
+        cold = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
+        cold.act_basis(key, cold.dim // 2)
+        tab = cold._act_cols[key]
+        assert len(tab) == cold.dim and None not in tab
+        # op_matrix stores the table's own column dicts
+        cols = cold.op_matrix(key)
+        assert cols == {b: c for b, c in enumerate(tab) if c}
+        assert all(cols[b] is tab[b] is cold.act_basis(key, b) for b in cols)
+        assert cols == mod.op_matrix(key)
 
 
 def test_a3_p7_dim_33614_decides():

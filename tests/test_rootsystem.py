@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from _oracles import decompose_weight
 from babyverma.roots import LeviDatum, RootSystem, root_label, shape_check
 
 
@@ -140,20 +142,18 @@ def test_dot_action_inverse_property():
 
 
 def test_decompose_weight():
-    R = rs("A", 2)
-    assert R.decompose_weight((0, 0), 5) == ((0, 0), (0, 0))
-    assert R.decompose_weight((5, 0), 5) == ((0, 0), (1, 0))
-    assert R.decompose_weight((7, 3), 5) == ((2, 3), (1, 0))
-    assert R.decompose_weight((-4, 1), 5) == ((1, 1), (-1, 0))
+    assert decompose_weight((0, 0), 5) == ((0, 0), (0, 0))
+    assert decompose_weight((5, 0), 5) == ((0, 0), (1, 0))
+    assert decompose_weight((7, 3), 5) == ((2, 3), (1, 0))
+    assert decompose_weight((-4, 1), 5) == ((1, 1), (-1, 0))
 
 
 def test_decompose_bijection():
     random.seed(17)
-    R = rs("B", 3)
     for _ in range(1000):
         lam = tuple(random.randrange(-40, 41) for _ in range(3))
         p = random.choice((3, 5, 7))
-        lam0, lam1 = R.decompose_weight(lam, p)
+        lam0, lam1 = decompose_weight(lam, p)
         assert all(0 <= c < p for c in lam0)
         assert tuple(a + p * b for a, b in zip(lam0, lam1)) == lam
 
@@ -221,3 +221,41 @@ def test_root_label():
     assert root_label((1, 0)) == "a1"
     assert root_label((1, 2)) == "a1+2a2"
     assert root_label((1, 1, 1)) == "a1+a2+a3"
+
+
+# every admissible I short of the full set, written out by hand; any
+# other nonempty proper I has no shape
+SHAPES = {
+    ("A", 1): {},
+    ("A", 2): {(1,): "prefix", (2,): "suffix"},
+    ("A", 3): {(1,): "prefix", (1, 2): "prefix", (3,): "suffix", (2, 3): "suffix"},
+    ("A", 4): {
+        (1,): "prefix", (1, 2): "prefix", (1, 2, 3): "prefix",
+        (4,): "suffix", (3, 4): "suffix", (2, 3, 4): "suffix",
+    },
+    ("A", 5): {
+        (1,): "prefix", (1, 2): "prefix", (1, 2, 3): "prefix", (1, 2, 3, 4): "prefix",
+        (5,): "suffix", (4, 5): "suffix", (3, 4, 5): "suffix", (2, 3, 4, 5): "suffix",
+    },
+    ("B", 2): {(2,): "suffix"},
+    ("B", 3): {(3,): "suffix", (2, 3): "suffix"},
+    ("B", 4): {(4,): "suffix", (3, 4): "suffix", (2, 3, 4): "suffix"},
+    ("B", 5): {(5,): "suffix", (4, 5): "suffix", (3, 4, 5): "suffix", (2, 3, 4, 5): "suffix"},
+    ("C", 2): {(1,): "prefix"},
+    ("C", 3): {(1,): "prefix", (1, 2): "prefix"},
+    ("C", 4): {(1,): "prefix", (1, 2): "prefix", (1, 2, 3): "prefix"},
+    ("C", 5): {(1,): "prefix", (1, 2): "prefix", (1, 2, 3): "prefix", (1, 2, 3, 4): "prefix"},
+    ("D", 4): {(2, 3, 4): "suffix", (1, 2, 3): "chain"},
+    ("D", 5): {(3, 4, 5): "suffix", (2, 3, 4, 5): "suffix", (1, 2, 3, 4): "chain"},
+}
+
+
+@pytest.mark.parametrize("typ, n", sorted(SHAPES))
+def test_shape_of_every_subset(typ, n):
+    R = rs(typ, n)
+    for k in range(1, n + 1):
+        for I in itertools.combinations(range(1, n + 1), k):
+            want = "full" if k == n else SHAPES[typ, n].get(I)
+            assert shape_check(R, I) == want, I
+            # order and duplicates do not matter
+            assert shape_check(R, tuple(reversed(I)) + I[:1]) == want, I
