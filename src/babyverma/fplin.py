@@ -93,10 +93,12 @@ class Echelon:
 def nullspace(equations, ncols, p):
     """Kernel basis for a system of sparse equation rows over columns
     0..ncols-1. Basis vectors are keyed to free columns in ascending order
-    and returned in RREF-dual form (exact, canonical)."""
+    and returned in RREF-dual form (exact, canonical).  Stops reading
+    equations once their rank reaches ncols: the kernel is then zero."""
     ech = Echelon(p)
     for eq in equations:
-        ech.insert(eq)
+        if ech.insert(eq) is not None and len(ech.rows) == ncols:
+            return []
     pivots = ech.rows
     out = []
     for f in range(ncols):

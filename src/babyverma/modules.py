@@ -33,11 +33,14 @@ that fails to generate is closed to full rank.  This decides the
 33 614-dimensional A3 p=7 I={1,2} lambda=(1,1,1) module in seconds.
 
 The radical takes one of two paths, by what the module is.  With a
-one-dimensional base and chi zero on every u_J^- slot (every chi = 0
-baby Verma module and every Levi Verma module behind a Levi head), the
-module is a graded G_1T-module with the highest vector's line as its
-top weight space, so the radical is the annihilator of the closure of
-e*_high under the transposed action: one closure of rank dim(head).
+one-dimensional base, chi zero on every u_J^- slot and every active
+simple root a slot (every chi = 0 baby Verma module and every Levi Verma
+module behind a Levi head), the module is a graded G_1T-module with the
+highest vector's line as its top weight space, so the radical is the
+annihilator of the closure of e*_high under the transposed action: one
+closure of rank dim(head).  There op_matrix(x_i) = A_i + lam_i B_i mod p
+with A_i, B_i free of lam, so the closure reads the transposed rows from
+tables kept once per family and builds no column table of the module.
 Any other module sums the closures of its non-generating kernel lines
 as it goes, skipping lines already in the sum, and checks on the way
 that the head is simple, which it relies on: HeadNotSimple refuses a
@@ -222,11 +225,7 @@ class InducedModule(ModuleBase):
                             tk[r] = {r - (p - 1) * sk: wrap} if wrap else {}
                         continue
                     rest = r - stride[j]
-                    tj = tabs[j]
-                    out = {}
-                    for e1, c1 in tk[rest].items():
-                        for e2, c2 in tj[e1].items():
-                            out[e2] = out.get(e2, 0) + c1 * c2
+                    out = _through(tk[rest], tabs[j])
                     for s, c in brk[k][j]:
                         for e2, c2 in tabs[s][rest].items():
                             out[e2] = out.get(e2, 0) + c * c2
@@ -314,6 +313,97 @@ class InducedModule(ModuleBase):
             tab.append({b2: v % p for b2, v in out.items() if v % p})
         self._act_cols[gkey] = tab
         return tab
+
+    def top_rows(self):
+        """Per active i, (A_i^T, B_i^T, Y_i^T): the transposed rows of
+        x_i = A_i + lam_i B_i and of y_i on reversed indices r -> dim-1-r,
+        shared by the family (p, u_J^- order, chi on the slots, active).
+        None unless the base is one-dimensional, chi is zero on every
+        slot and each active simple root is a slot whose x_i brackets
+        every slot vector into h_i or a slot: only h_i, from
+        [x_i, y_(alpha_i)], reads lam."""
+        if self.levi.dim > 1 or any(self.chival):
+            return None
+        shared = self.alg.module_tables
+        key = (self.p, self.order, tuple(self.chival), self.active)
+        if key not in shared:
+            shared[key] = self._row_tables()
+        return shared[key]
+
+    def _row_tables(self):
+        # A_i and B_i column by column in one pass over ranks, as in
+        # _table: x y_j y^rest = y_j (x y^rest) + [x, y_j] y^rest, where
+        # h_i acts on y^rest by lam_i + mwt[rest][i-1].  B^T keeps its
+        # rows as item tuples, half a dict's size: a module forms its
+        # row from one at most once.
+        p, n, lead, stride, lm = self.p, self.dim - 1, self._lead, self.stride, self._lm
+        rev = list(range(n, -1, -1))
+        out = []
+        for i in self.active:
+            g = self.rs.simple(i)
+            brk = [self.alg.bracket(("x", g), ("y", c)).items() for c in self.order]
+            if g not in self.slot or any(
+                t == "y" and h not in self.slot for terms in brk for (t, h), _ in terms
+            ):
+                return None
+            a, b = [{}], [{}]
+            for r in range(1, n + 1):
+                j = lead[r]
+                rest = r - stride[j]
+                oa, ob = _through(a[rest], lm[j]), _through(b[rest], lm[j])
+                for (t, h), c in brk[j]:
+                    if t == "h":
+                        oa[rest] = oa.get(rest, 0) + c * self._mwt[rest][h - 1]
+                        ob[rest] = ob.get(rest, 0) + c
+                    else:
+                        for r2, c2 in lm[self.slot[h]][rest].items():
+                            oa[r2] = oa.get(r2, 0) + c * c2
+                a.append({k: v % p for k, v in oa.items() if v % p})
+                b.append({k: v % p for k, v in ob.items() if v % p})
+            bt = {j: tuple(row.items()) for j, row in _reversed_rows(b, rev).items()}
+            yt = _reversed_rows(lm[self.slot[g]], rev)
+            out.append((_reversed_rows(a, rev), bt, yt))
+        return out
+
+
+def _through(col, tab):
+    # sum of c * tab[r] over the entries r: c of col, not reduced mod p
+    out = {}
+    for r1, c1 in col.items():
+        for r2, c2 in tab[r1].items():
+            out[r2] = out.get(r2, 0) + c1 * c2
+    return out
+
+
+def _reversed_rows(cols, rev):
+    # the transpose of a column table, on the reversed indices rev[i];
+    # the family's tables share one int object per index
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows.setdefault(rev[i], {})[rev[j]] = c
+    return rows
+
+
+class _RowsAt:
+    """The rows of A + lam B mod p, read through get() as
+    fplin.apply_columns reads an operator: a row B lacks, or any row
+    when lam = 0 mod p, is A's own dict; any other is formed on its
+    first read from A's dict and B's item tuple."""
+
+    def __init__(self, a, b, lam, p):
+        self.a, self.b, self.lam, self.p = a, b, lam % p, p
+        self.rows = {}
+
+    def get(self, j):
+        bj = self.b.get(j) if self.lam else None
+        if bj is None:
+            return self.a.get(j)
+        row = self.rows.get(j)
+        if row is None:
+            row = dict(self.a.get(j, {}))
+            self.rows[j] = addmul(row, dict(bj), self.lam, self.p)
+        return row
 
 
 class QuotientModule(ModuleBase):
@@ -528,16 +618,17 @@ def is_irreducible(mod, cap=LINES_CAP):
 def radical(mod, cap=LINES_CAP):
     """The unique maximal submodule, as an echelonized row space in
     global coordinates.  Relies on the head being simple, which holds
-    for the highest-weight modules built here.  An InducedModule with a
-    one-dimensional base and chi zero on every u_J^- slot is a graded
-    G_1T-module with the highest vector's line as top weight space, so
-    its radical is the largest submodule in the kernel of e*_high: the
-    annihilator of the closure of e*_high under the transposed xy
-    action, of rank dim(head), with no kernel lines and no cap.  Any
-    other module closes its non-generating kernel lines (at most cap)
-    and raises HeadNotSimple if they are seen to generate together.
-    Both paths give the same reduced row form."""
-    if isinstance(mod, InducedModule) and mod.levi.dim == 1 and not any(mod.chival):
+    for the highest-weight modules built here.  An InducedModule whose
+    top_rows() exist (a one-dimensional base, chi zero on every u_J^-
+    slot, each active simple root a slot) is a graded G_1T-module with
+    the highest vector's line as top weight space, so its radical is the
+    largest submodule in the kernel of e*_high: the annihilator of the
+    closure of e*_high under the transposed xy action, of rank
+    dim(head), with no kernel lines, no cap and no column table of the
+    module.  Any other module closes its non-generating kernel lines (at
+    most cap) and raises HeadNotSimple if they are seen to generate
+    together.  Both paths give the same reduced row form."""
+    if isinstance(mod, InducedModule) and mod.top_rows() is not None:
         return _annihilator_of_top(mod)
     return _radical_vectors(mod, cap).echelon()
 
@@ -549,12 +640,8 @@ def _annihilator_of_top(mod):
     # min-pivot reduced form of the annihilator.
     n, p = mod.dim - 1, mod.p
     ops = []
-    for op in mod.xy_ops():
-        t = {}
-        for j, col in op.items():
-            for i, c in col.items():
-                t.setdefault(n - i, {})[n - j] = c
-        ops.append(t)
+    for i, (a, b, y) in zip(mod.active, mod.top_rows()):
+        ops += [_RowsAt(a, b, mod.lam[i - 1], p), y]
     w = span_closure(
         [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
     ).rows

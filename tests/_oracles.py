@@ -9,7 +9,11 @@ modules.InducedModule; and radical_vectors_per_line, which closes every
 non-generating kernel line and then all of them together, for the
 running graded sum of modules._radical_vectors; and
 classes_per_index, which reads each basis index's weight and drop, for
-the weight classes and grades built from the per-rank tables.
+the weight classes and grades built from the per-rank tables; and
+annihilator_of_top_by_columns, which transposes the module's own xy
+column tables, for the family row tables of modules._annihilator_of_top.
+nullspace_reading_all inserts every equation, for the early exit of
+fplin.nullspace.
 check_stable confirms that a subspace handed to QuotientModule is
 stable under the action.  The basis bookkeeping of an InducedModule
 (monomial ranks, index_of, vector_at, leftmul on exponent tuples) and
@@ -18,7 +22,7 @@ decompose_weight are read only by tests, so they live here too.
 
 import random
 
-from babyverma.fplin import apply_columns, span_closure
+from babyverma.fplin import Echelon, apply_columns, span_closure
 from babyverma.modules import QuotientModule, _kernel_lines, generates
 
 
@@ -365,6 +369,48 @@ def radical_vectors_per_line(mod, cap=10000):
     out = [dict(r) for r in sub.basis()]
     for v in radical_vectors_per_line(q, cap):
         out.append(q.lift(v))
+    return out
+
+
+def annihilator_of_top_by_columns(mod):
+    """The radical of a graded module with one-dimensional top, as the
+    annihilator of the closure of e*_high under the transposes of the
+    module's own xy column tables, the closure on reversed indices."""
+    n, p = mod.dim - 1, mod.p
+    ops = []
+    for op in mod.xy_ops():
+        t = {}
+        for j, col in op.items():
+            for i, c in col.items():
+                t.setdefault(n - i, {})[n - j] = c
+        ops.append(t)
+    w = span_closure(
+        [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
+    ).rows
+    rows = {f: {f: 1} for f in range(mod.dim) if n - f not in w}
+    for rq, row in w.items():
+        for ri, c in row.items():
+            if ri != rq:
+                rows[n - ri][n - rq] = p - c
+    out = Echelon(p)
+    out.rows = rows
+    return out
+
+
+def nullspace_reading_all(equations, ncols, p):
+    """Kernel basis as fplin.nullspace gives it, inserting every
+    equation before reading the free columns."""
+    ech = Echelon(p)
+    for eq in equations:
+        ech.insert(eq)
+    out = []
+    for f in range(ncols):
+        if f not in ech.rows:
+            v = {f: 1}
+            for q, row in ech.rows.items():
+                if row.get(f):
+                    v[q] = (-row[f]) % p
+            out.append(v)
     return out
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _oracles import nullspace_reading_all
 from babyverma.fplin import (
     Echelon,
     addmul,
@@ -92,6 +93,33 @@ def test_nullspace_checks():
             for eq in eqs:
                 s = sum(eq.get(j, 0) * c for j, c in v.items()) % p
                 assert s == 0
+
+
+def test_nullspace_stops_reading_at_full_rank():
+    # e0 + e1, e1 reach rank 2 = ncols: the next equation is never read
+    def equations():
+        yield {0: 1, 1: 1}
+        yield {1: 3}
+        raise AssertionError("equation read after full rank")
+
+    assert nullspace(equations(), 2, 5) == []
+    # rank 1 of 2 reads every equation and keeps the kernel
+    assert nullspace(iter([{0: 1, 1: 1}, {0: 2, 1: 2}]), 2, 5) == [{0: 4, 1: 1}]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nullspace_matches_reading_every_equation(p):
+    # random small systems, often past full rank and often with repeats
+    rng = random.Random(p)
+    for _ in range(200):
+        ncols = rng.randrange(0, 6)
+        eqs = []
+        for _ in range(rng.randrange(0, 9)):
+            v = {j: rng.randrange(p) for j in range(ncols) if rng.random() < 0.6}
+            eqs.append({j: c for j, c in v.items() if c})
+        if eqs and rng.random() < 0.3:
+            eqs.append(dict(rng.choice(eqs)))
+        assert nullspace(eqs, ncols, p) == nullspace_reading_all(eqs, ncols, p)
 
 
 def test_joint_kernel():

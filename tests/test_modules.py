@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from _oracles import (
+    annihilator_of_top_by_columns,
     check_stable,
     classes_per_index,
     index_of,
@@ -676,10 +677,31 @@ def test_radical_path_follows_the_module(monkeypatch):
         (build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1)), "_radical_vectors"),
         (head(build_baby_verma(A2, PChar(3, []), (1, 0))), "_radical_vectors"),
     ]
+    # chi = 0 over a one-dimensional base, but an active simple root is
+    # not a slot: the dim-1 module at I = {} and a hand-built u_J^- order
+    # for I = {1}; their radicals still equal the transposition's
+    edges = [
+        build_parabolic_baby_verma(A2, PChar(3, ()), (0, 0)),
+        modules.InducedModule(
+            A2, PChar(5, ()), fix_order(A2.rs, (1,)), TrivialLevi((1, 0))
+        ),
+    ]
+    assert [mod.dim for mod in edges] == [1, 25]
+    cases += [(mod, "_radical_vectors") for mod in edges]
     for mod, path in cases:
         del taken[:]
         radical(mod)
         assert taken[0] == path
+    for mod in edges:
+        assert mod.top_rows() is None
+        assert radical(mod).rows == annihilator_of_top_by_columns(mod).rows
+    # alpha_1 is a slot, but [x_1, y_(alpha_1+alpha_2)] is y_(alpha_2),
+    # which is not
+    order = fix_order(A2.rs, (1,))
+    mod = modules.InducedModule(
+        A2, PChar(5, ()), order, TrivialLevi((1, 0)), active=(1,)
+    )
+    assert mod.top_rows() is None
     refused = [
         build_parabolic_baby_verma(A1, PChar(3, []), (2,), order=((1,),), levi=levi),
         build_baby_verma(A2, PChar(3, [1, 2]), (0, 0)),
@@ -825,3 +847,89 @@ def test_classes_and_grades_match_the_per_index_reading():
         assert _ordered(mod.weight_classes()) == _ordered(classes)
         assert mod.grades() == grades
 
+
+# ---- the transposed radical, read from the family's row tables ----
+
+
+def _differential_set():
+    # chi = 0 Borel modules at every restricted lam, a sign_flip algebra,
+    # and Levi Verma modules behind Levi heads (C3 p=5 I={1}, B2 p=5
+    # I={2}, A3 p=5 I={1}, B3 p=3 I={3})
+    algs = {key: ChevalleyAlgebra(RootSystem(*key)) for key in
+            (("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3))}
+    flip = ChevalleyAlgebra(RootSystem("A", 2), sign_flip=True)
+    mods = [
+        build_baby_verma(alg, PChar(p, ()), lam)
+        for alg, p in [
+            (algs["A", 1], 7), (algs["A", 2], 5), (algs["A", 2], 7), (algs["B", 2], 3),
+            (algs["B", 2], 5), (algs["C", 2], 3), (algs["C", 2], 5), (algs["A", 3], 2),
+            (algs["A", 3], 3), (flip, 5),
+        ]
+        for lam in itertools.product(range(p), repeat=alg.rs.n)
+    ]
+    mods += [
+        _levi_verma(algs["C", 3], 5, (1,), (0, 1, 0)),
+        _levi_verma(algs["B", 2], 5, (2,), (1, 1)),
+        _levi_verma(algs["B", 2], 5, (2,), (3, 7)),
+        _levi_verma(algs["B", 3], 3, (3,), (1, 2, 0)),
+    ]
+    mods += [
+        _levi_verma(algs["A", 3], 5, (1,), (0, a, b))
+        for a, b in ((1, 2), (3, 0), (4, 4))
+    ]
+    return mods
+
+
+def test_radical_matches_the_column_transposition():
+    # the family row tables against the transposes of each module's own
+    # column tables, on a fresh module so radical() builds none of them
+    mods = _differential_set()
+    assert len(mods) == 216
+    for mod in mods:
+        assert mod.top_rows() is not None
+        rebuilt = modules.InducedModule(
+            mod.alg, mod.chi, mod.order, mod.levi, active=mod.active
+        )
+        assert radical(mod).rows == annihilator_of_top_by_columns(rebuilt).rows
+
+
+@pytest.mark.parametrize("lam_shift", [0, 1])
+def test_x_columns_are_a_plus_lam_b(lam_shift):
+    # every column of op_matrix(x_i) equals A_i + lam_i B_i, read back from
+    # the family's transposed rows; lam_shift adds p to each coordinate
+    C3 = ChevalleyAlgebra(RootSystem("C", 3))
+    flip = ChevalleyAlgebra(RootSystem("B", 2), sign_flip=True)
+    cases = [
+        (A2, 5, None, (1, 3)),
+        (B2, 5, None, (4, 2)),
+        (flip, 5, None, (2, 3)),
+        (C3, 5, (1,), (0, 1, 0)),
+        (B2, 5, (2,), (1, 1)),
+        (A1, 7, None, (5,)),
+    ]
+    for alg, p, I, lam in cases:
+        lam = tuple(x + lam_shift * p for x in lam)
+        if I is None:
+            mod = build_baby_verma(alg, PChar(p, ()), lam)
+        else:
+            mod = _levi_verma(alg, p, I, lam)
+        n = mod.dim - 1
+        for i, (a, b, y) in zip(mod.active, mod.top_rows()):
+            rows = modules._RowsAt(a, b, mod.lam[i - 1], p)
+            cols = {}
+            for j in range(mod.dim):
+                for k, c in (rows.get(n - j) or {}).items():
+                    cols.setdefault(n - k, {})[j] = c
+            g = mod.rs.simple(i)
+            assert cols == mod.op_matrix(("x", g))
+            ycols = {}
+            for j, row in y.items():
+                for k, c in row.items():
+                    ycols.setdefault(n - k, {})[n - j] = c
+            assert ycols == mod.op_matrix(("y", g))
+
+
+def test_radical_builds_no_column_table():
+    for mod in _differential_set()[::7]:
+        radical(mod)
+        assert mod._cols == {} and mod._act_cols == {}
