@@ -38,9 +38,10 @@ simple root a slot (every chi = 0 baby Verma module and every Levi Verma
 module behind a Levi head), the module is a graded G_1T-module with the
 highest vector's line as its top weight space, so the radical is the
 annihilator of the closure of e*_high under the transposed action: one
-closure of rank dim(head).  There op_matrix(x_i) = A_i + lam_i B_i mod p
-with A_i, B_i free of lam, so the closure reads the transposed rows from
-tables kept once per family and builds no column table of the module.
+closure of rank dim(head).  There op_matrix(x_i) = A_i + lam_i B_i mod p:
+the family keeps the transposed rows of A_i, which is x_i at lam = 0, and
+of y_i; B_i removes one y_(alpha_i), times its exponent, and is read in
+closed form.  So the closure builds no column table of the module.
 Any other module sums the closures of its non-generating kernel lines
 as it goes, skipping lines already in the sum, and checks on the way
 that the head is simple, which it relies on: HeadNotSimple refuses a
@@ -315,13 +316,14 @@ class InducedModule(ModuleBase):
         return tab
 
     def top_rows(self):
-        """Per active i, (A_i^T, B_i^T, Y_i^T): the transposed rows of
-        x_i = A_i + lam_i B_i and of y_i on reversed indices r -> dim-1-r,
-        shared by the family (p, u_J^- order, chi on the slots, active).
-        None unless the base is one-dimensional, chi is zero on every
-        slot and each active simple root is a slot whose x_i brackets
-        every slot vector into h_i or a slot: only h_i, from
-        [x_i, y_(alpha_i)], reads lam."""
+        """Per active i, (A_i^T, Y_i^T, stride of s): on reversed indices
+        r -> dim-1-r, the rows of A_i = x_i at lam = 0 and of y_i, s the
+        slot of alpha_i; shared by the family (p, u_J^- order, chi on the
+        slots, active).  None unless the base is one-dimensional, chi is
+        zero on every slot and each active simple root is a slot whose x_i
+        brackets every slot vector into h_i or a slot: only h_i = [x_i, y_s]
+        then reads lam, and _RowsAt adds lam_i B_i, where B_i y^a =
+        a_s y^(a - e_s), in closed form."""
         if self.levi.dim > 1 or any(self.chival):
             return None
         shared = self.alg.module_tables
@@ -331,13 +333,12 @@ class InducedModule(ModuleBase):
         return shared[key]
 
     def _row_tables(self):
-        # A_i and B_i column by column in one pass over ranks, as in
-        # _table: x y_j y^rest = y_j (x y^rest) + [x, y_j] y^rest, where
-        # h_i acts on y^rest by lam_i + mwt[rest][i-1].  B^T keeps its
-        # rows as item tuples, half a dict's size: a module forms its
-        # row from one at most once.
-        p, n, lead, stride, lm = self.p, self.dim - 1, self._lead, self.stride, self._lm
-        rev = list(range(n, -1, -1))
+        # A_i from the column table of a family member at lam = 0, which
+        # is dropped once its tables are transposed
+        zero = InducedModule(
+            self.alg, self.chi, self.order, TrivialLevi((0,) * self.rs.n), self.active
+        )
+        rev = list(range(self.dim - 1, -1, -1))
         out = []
         for i in self.active:
             g = self.rs.simple(i)
@@ -346,23 +347,9 @@ class InducedModule(ModuleBase):
                 t == "y" and h not in self.slot for terms in brk for (t, h), _ in terms
             ):
                 return None
-            a, b = [{}], [{}]
-            for r in range(1, n + 1):
-                j = lead[r]
-                rest = r - stride[j]
-                oa, ob = _through(a[rest], lm[j]), _through(b[rest], lm[j])
-                for (t, h), c in brk[j]:
-                    if t == "h":
-                        oa[rest] = oa.get(rest, 0) + c * self._mwt[rest][h - 1]
-                        ob[rest] = ob.get(rest, 0) + c
-                    else:
-                        for r2, c2 in lm[self.slot[h]][rest].items():
-                            oa[r2] = oa.get(r2, 0) + c * c2
-                a.append({k: v % p for k, v in oa.items() if v % p})
-                b.append({k: v % p for k, v in ob.items() if v % p})
-            bt = {j: tuple(row.items()) for j, row in _reversed_rows(b, rev).items()}
-            yt = _reversed_rows(lm[self.slot[g]], rev)
-            out.append((_reversed_rows(a, rev), bt, yt))
+            s = self.slot[g]
+            at = _reversed_rows(zero._table(("x", g)), rev)
+            out.append((at, _reversed_rows(self._lm[s], rev), self.stride[s]))
         return out
 
 
@@ -387,22 +374,23 @@ def _reversed_rows(cols, rev):
 
 class _RowsAt:
     """The rows of A + lam B mod p, read through get() as
-    fplin.apply_columns reads an operator: a row B lacks, or any row
-    when lam = 0 mod p, is A's own dict; any other is formed on its
-    first read from A's dict and B's item tuple."""
+    fplin.apply_columns reads an operator.  On reversed indices, row j of
+    B^T is -d at j - stride, where d = (j // stride) % p is the slot's
+    digit of j: a row with d = 0 is A's own dict, any other is formed on
+    its first read."""
 
-    def __init__(self, a, b, lam, p):
-        self.a, self.b, self.lam, self.p = a, b, lam % p, p
+    def __init__(self, a, stride, lam, p):
+        self.a, self.stride, self.lam, self.p = a, stride, lam % p, p
         self.rows = {}
 
     def get(self, j):
-        bj = self.b.get(j) if self.lam else None
-        if bj is None:
-            return self.a.get(j)
         row = self.rows.get(j)
         if row is None:
+            d = (j // self.stride) % self.p
+            if not d:
+                return self.a.get(j)
             row = dict(self.a.get(j, {}))
-            self.rows[j] = addmul(row, dict(bj), self.lam, self.p)
+            self.rows[j] = addmul(row, {j - self.stride: -d}, self.lam, self.p)
         return row
 
 
@@ -640,8 +628,9 @@ def _annihilator_of_top(mod):
     # min-pivot reduced form of the annihilator.
     n, p = mod.dim - 1, mod.p
     ops = []
-    for i, (a, b, y) in zip(mod.active, mod.top_rows()):
-        ops += [_RowsAt(a, b, mod.lam[i - 1], p), y]
+    for i, (a, y, stride) in zip(mod.active, mod.top_rows()):
+        lam = mod.lam[i - 1] % p
+        ops += [_RowsAt(a, stride, lam, p) if lam else a, y]
     w = span_closure(
         [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
     ).rows

@@ -62,7 +62,6 @@ class RootSystem:
         self.typ = typ
         self.n = rank
         self.cartan = cartan_matrix(typ, rank)
-        self.rho = (1,) * rank
         self.roots = self._generate_positive_roots()
         self.N = len(self.roots)
         if self.N != _expected_count(typ, rank):
@@ -138,9 +137,6 @@ class RootSystem:
 
     def simple(self, i):
         return tuple(1 if j == i - 1 else 0 for j in range(self.n))
-
-    def height(self, root):
-        return sum(root)
 
     def fund(self, root):
         """The root written in fundamental coordinates (as a weight)."""

@@ -11,7 +11,9 @@ running graded sum of modules._radical_vectors; and
 classes_per_index, which reads each basis index's weight and drop, for
 the weight classes and grades built from the per-rank tables; and
 annihilator_of_top_by_columns, which transposes the module's own xy
-column tables, for the family row tables of modules._annihilator_of_top.
+column tables, for the family row tables of modules._annihilator_of_top;
+and row_tables_by_recursion, which fills x_i = A_i + lam_i B_i by the
+straightening recursion, for those row tables and the closed-form B_i.
 nullspace_reading_all inserts every equation, for the early exit of
 fplin.nullspace.
 check_stable confirms that a subspace handed to QuotientModule is
@@ -23,7 +25,13 @@ decompose_weight are read only by tests, so they live here too.
 import random
 
 from babyverma.fplin import Echelon, apply_columns, span_closure
-from babyverma.modules import QuotientModule, _kernel_lines, generates
+from babyverma.modules import (
+    QuotientModule,
+    _kernel_lines,
+    _reversed_rows,
+    _through,
+    generates,
+)
 
 
 def sl2_matrices(p, lam, chival):
@@ -394,6 +402,38 @@ def annihilator_of_top_by_columns(mod):
                 rows[n - ri][n - rq] = p - c
     out = Echelon(p)
     out.rows = rows
+    return out
+
+
+def row_tables_by_recursion(mod):
+    """Per active i, (A_i^T, B_i^T, Y_i^T) with op_matrix(x_i) = A_i +
+    lam_i B_i, for a module whose top_rows() exist: A_i and B_i filled
+    column by column in one pass over ranks, as _table fills a column
+    table, x y_j y^rest = y_j (x y^rest) + [x, y_j] y^rest, where h_i
+    acts on y^rest by lam_i + mwt[rest][i-1].  Transposed on reversed
+    indices as top_rows() keeps them."""
+    p, n, lead, stride, lm = mod.p, mod.dim - 1, mod._lead, mod.stride, mod._lm
+    rev = list(range(n, -1, -1))
+    out = []
+    for i in mod.active:
+        g = mod.rs.simple(i)
+        brk = [mod.alg.bracket(("x", g), ("y", c)).items() for c in mod.order]
+        a, b = [{}], [{}]
+        for r in range(1, n + 1):
+            j = lead[r]
+            rest = r - stride[j]
+            oa, ob = _through(a[rest], lm[j]), _through(b[rest], lm[j])
+            for (t, h), c in brk[j]:
+                if t == "h":
+                    oa[rest] = oa.get(rest, 0) + c * mod._mwt[rest][h - 1]
+                    ob[rest] = ob.get(rest, 0) + c
+                else:
+                    for r2, c2 in lm[mod.slot[h]][rest].items():
+                        oa[r2] = oa.get(r2, 0) + c * c2
+            a.append({k: v % p for k, v in oa.items() if v % p})
+            b.append({k: v % p for k, v in ob.items() if v % p})
+        yt = _reversed_rows(lm[mod.slot[g]], rev)
+        out.append((_reversed_rows(a, rev), _reversed_rows(b, rev), yt))
     return out
 
 

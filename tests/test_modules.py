@@ -15,6 +15,7 @@ from _oracles import (
     index_of,
     norton_verdict,
     radical_vectors_per_line,
+    row_tables_by_recursion,
     sl2_matrices,
     vector_at,
 )
@@ -816,14 +817,16 @@ def test_shared_tables_stay_unchanged(chi, lams):
     alg = ChevalleyAlgebra(RootSystem("A", 2))
     mods = [build_baby_verma(alg, chi, lam) for lam in lams]
     assert mods[0].levi.dim == 1 and mods[0]._lm is mods[1]._lm
-    before = _digest(_tables_of(mods[0]))
+    # nor into the family's row tables, whose A^T rows the transposed
+    # radical hands out
+    before = _digest((_tables_of(mods[0]), mods[0].top_rows()))
     for mod in mods:
         maximal_vectors(mod)
         is_irreducible(mod)
         head(mod)
         assert verify_commutators(mod)
         assert verify_frobenius(mod)
-        assert _digest(_tables_of(mods[0])) == before
+        assert _digest((_tables_of(mods[0]), mods[0].top_rows())) == before
 
 
 def _ordered(classes):
@@ -893,6 +896,27 @@ def test_radical_matches_the_column_transposition():
         assert radical(mod).rows == annihilator_of_top_by_columns(rebuilt).rows
 
 
+def test_row_tables_match_the_recursion():
+    # per family, A^T and Y^T equal the one-pass A/B recursion's, dict
+    # order included, and at lam_i = 1 every row read is A^T + B^T mod p,
+    # so rows whose slot digit is 0 (A's own) and p-1 alike
+    seen = set()
+    for mod in _differential_set():
+        key = (id(mod.alg), mod.p, mod.order, mod.active)
+        if key in seen:
+            continue
+        seen.add(key)
+        got, want = mod.top_rows(), row_tables_by_recursion(mod)
+        assert len(got) == len(want) == len(mod.active)
+        for (a, y, stride), (wa, wb, wy) in zip(got, want):
+            assert repr((a, y)) == repr((wa, wy))
+            rows = modules._RowsAt(a, stride, 1, mod.p)
+            for j in range(mod.dim):
+                row = addmul(dict(wa.get(j, {})), wb.get(j, {}), 1, mod.p)
+                assert (rows.get(j) or {}) == row
+    assert len(seen) == 14
+
+
 @pytest.mark.parametrize("lam_shift", [0, 1])
 def test_x_columns_are_a_plus_lam_b(lam_shift):
     # every column of op_matrix(x_i) equals A_i + lam_i B_i, read back from
@@ -914,8 +938,8 @@ def test_x_columns_are_a_plus_lam_b(lam_shift):
         else:
             mod = _levi_verma(alg, p, I, lam)
         n = mod.dim - 1
-        for i, (a, b, y) in zip(mod.active, mod.top_rows()):
-            rows = modules._RowsAt(a, b, mod.lam[i - 1], p)
+        for i, (a, y, stride) in zip(mod.active, mod.top_rows()):
+            rows = modules._RowsAt(a, stride, mod.lam[i - 1], p)
             cols = {}
             for j in range(mod.dim):
                 for k, c in (rows.get(n - j) or {}).items():
