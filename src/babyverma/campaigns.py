@@ -20,6 +20,7 @@ import json
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .chevalley import ChevalleyAlgebra, make_pchar
 from .fplin import span_closure
@@ -128,6 +129,23 @@ def analyze_weight(typ, rank, p, I, lam, cap=DIM_CAP, lines_cap=LINES_CAP):
     return _decide(row, alg, make_pchar(alg, p, I), lam, cap, lines_cap)
 
 
+def _pooled_row(future, task):
+    """The row a pool worker returned.  A worker that dies (killed by
+    the OOM killer, say) breaks the pool: every row not yet returned
+    becomes an error row, and the rows already returned are kept."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        row = _row(*task[:5])
+        row["verdict"] = "error"
+        row["error"] = (
+            "BrokenProcessPool: a sweep worker process died while this row "
+            "was running or queued"
+        )
+        row["traceback"] = "".join(traceback.format_exception(exc))
+        return row
+
+
 def verify_main_theorem(typ, rank, p, I, cap=DIM_CAP, lines_cap=LINES_CAP, workers=1):
     rs = check_sweep_params(typ, rank, p, I)
     I = tuple(sorted(set(I)))
@@ -135,7 +153,8 @@ def verify_main_theorem(typ, rank, p, I, cap=DIM_CAP, lines_cap=LINES_CAP, worke
     tasks = [(typ, rank, p, I, lam, cap, lines_cap) for lam in weights]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            rows = list(pool.map(analyze_weight, *zip(*tasks)))
+            futures = [pool.submit(analyze_weight, *t) for t in tasks]
+            rows = [_pooled_row(f, t) for f, t in zip(futures, tasks)]
     else:
         rows = [analyze_weight(*t) for t in tasks]
     counts = {"irreducible": 0, "reducible": 0, "skipped": 0}

@@ -44,7 +44,7 @@ class ChevalleyAlgebra:
         self._zero = (0,) * rs.n
         self._all_roots = set(rs.roots) | {_neg(g) for g in rs.roots}
         self._nmemo = {}
-        self.module_tables = {}  # modules.InducedModule's per-rank tables, by family
+        self.module_tables = {}  # InducedModule per-rank tables and top_rows, by family
         self._base_pair = self._pick_base_pairs()
         self.basis = (
             tuple(("x", g) for g in rs.roots)

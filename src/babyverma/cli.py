@@ -328,12 +328,13 @@ def _add_common(sp):
     sp.add_argument("--save-config", help="write resolved options to this file")
 
 
-def _add_module_params(sp, need_p=True, sign_flip=False):
+def _add_module_params(sp, need_p=True, need_I=True, sign_flip=False):
     sp.add_argument("--type", required=True, choices=["A", "B", "C", "D"])
     sp.add_argument("--rank", required=True, type=int)
     if need_p:
         sp.add_argument("--p", required=True, type=int)
-    sp.add_argument("--I", default=None, help="comma separated simple indices, empty for none")
+    if need_I:
+        sp.add_argument("--I", default=None, help="comma separated simple indices, empty for none")
     if sign_flip:
         sp.add_argument(
             "--sign-flip", action="store_true", help="alternate structure constant signs"
@@ -396,7 +397,7 @@ def build_parser():
     dsub = sp.add_subparsers(dest="sub", required=True)
 
     d = dsub.add_parser("brackets", help="all structure constants, one bracket per line")
-    _add_module_params(d, need_p=False, sign_flip=True)
+    _add_module_params(d, need_p=False, need_I=False, sign_flip=True)
     _add_common(d)
     d.set_defaults(func=cmd_dump)
 

@@ -12,7 +12,7 @@ they are built once per (algebra, p, u_J^- order, chi on the slots),
 shared by every module of that family and read-only.  The weight
 classes and grades are read from them.  Every other x or y generator
 acts through one column table over indices, filled whole in index order
-on the generator's first use and shared by act_basis and op_matrix.
+on the generator's first use and held by op_matrix; act_basis reads it.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
@@ -99,15 +99,14 @@ class TrivialLevi:
 
 class ModuleBase:
     def op_matrix(self, key):
+        """The one column table of key, {b: nonzero column}, made by _fill."""
         cols = self._cols.get(key)
         if cols is None:
-            cols = {}
-            for b in range(self.dim):
-                img = self.act_basis(key, b)
-                if img:
-                    cols[b] = img
-            self._cols[key] = cols
+            cols = self._cols[key] = self._fill(key)
         return cols
+
+    def _fill(self, key):
+        return {b: img for b in range(self.dim) if (img := self.act_basis(key, b))}
 
     def xy_ops(self):
         ops = []
@@ -170,7 +169,6 @@ class InducedModule(ModuleBase):
         if key not in shared:
             shared[key] = self._tables()
         self._lead, self._mwt, self._mdrop, self._lm = shared[key]
-        self._act_cols = {}
         self._cols = {}
         self._classes = None
         self._grades = None
@@ -266,10 +264,10 @@ class InducedModule(ModuleBase):
     def act_basis(self, gkey, b):
         """Action of a basis generator on the basis vector of index b,
         as {index: coeff}: h reads the grades, a u_J^- root vector its
-        slot table _lm, any other key entry b of its column table, which
-        the first call fills whole.  The dict may be shared (the family's
-        _lm entry when levi.dim == 1, or the column op_matrix also
-        stores): no caller may mutate it."""
+        slot table _lm, any other key column b of its table in _cols,
+        which op_matrix makes on the key's first use.  The dict may be
+        shared (the family's _lm entry when levi.dim == 1, or the table's
+        column): no caller may mutate it."""
         typ, g = gkey
         if typ == "h":
             c = self.grades()[b][g - 1]
@@ -281,29 +279,30 @@ class InducedModule(ModuleBase):
             r, l = divmod(b, ldim)
             col = self._lm[k][r]
             return col if ldim == 1 else {r2 * ldim + l: c for r2, c in col.items()}
-        return self._table(gkey)[b]
+        cols = self._cols.get(gkey)
+        return (self.op_matrix(gkey) if cols is None else cols).get(b) or {}
 
-    def _table(self, gkey):
-        # The column table of an x or non-slot y key, filled whole on first
-        # use.  With j the leading slot of y^a = y_j y^rest,
+    def _fill(self, gkey):
+        # x and non-slot y keys: with j the leading slot of y^a = y_j y^rest,
         #   g y_j y^rest l = y_j (g y^rest l) + [g, y_j] y^rest l,
         # and rest(b) < b, so filling in index order reads only filled
-        # entries.  A bracket key's table fills on its first read and
-        # never reads g's own: [x_a, y_c] is h, a y key or an x key of
-        # lower height, and [y_d, y_c] a y key of greater height.
-        tab = self._act_cols.get(gkey)
-        if tab is not None:
-            return tab
+        # columns.  A bracket key's table is made on its first read, through
+        # op_matrix, and never reads g's own: [x_a, y_c] is h, a y key or an
+        # x key of lower height, and [y_d, y_c] a y key of greater height.
+        typ, g = gkey
+        if typ == "h" or typ == "y" and g in self.slot:
+            return super()._fill(gkey)
         p, ldim, lead, stride = self.p, self.levi.dim, self._lead, self.stride
-        u_x = gkey[0] == "x" and gkey[1] in self.slot
-        tab = [{} if u_x else self.levi.act_basis(gkey, l) for l in range(ldim)]
-        brk = [tuple(self.alg.bracket(gkey, ("y", g)).items()) for g in self.order]
+        cols = {}
+        if g not in self.slot:  # an x key of a u_J root kills the base
+            cols = {l: col for l in range(ldim) if (col := self.levi.act_basis(gkey, l))}
+        brk = [tuple(self.alg.bracket(gkey, ("y", c)).items()) for c in self.order]
         for b in range(ldim, self.dim):
             j = lead[b // ldim]
             rest = b - stride[j] * ldim
             tj = self._lm[j]
             out = {}
-            for b1, c1 in tab[rest].items():
+            for b1, c1 in cols.get(rest, {}).items():
                 r1, l1 = divmod(b1, ldim)
                 for r2, c2 in tj[r1].items():
                     b2 = r2 * ldim + l1
@@ -311,9 +310,9 @@ class InducedModule(ModuleBase):
             for bkey, bc in brk[j]:
                 for b2, c2 in self.act_basis(bkey, rest).items():
                     out[b2] = out.get(b2, 0) + bc * c2
-            tab.append({b2: v % p for b2, v in out.items() if v % p})
-        self._act_cols[gkey] = tab
-        return tab
+            if col := {b2: v % p for b2, v in out.items() if v % p}:
+                cols[b] = col
+        return cols
 
     def top_rows(self):
         """Per active i, (A_i^T, Y_i^T, stride of s): on reversed indices
@@ -348,8 +347,8 @@ class InducedModule(ModuleBase):
             ):
                 return None
             s = self.slot[g]
-            at = _reversed_rows(zero._table(("x", g)), rev)
-            out.append((at, _reversed_rows(self._lm[s], rev), self.stride[s]))
+            at = _reversed_rows(zero.op_matrix(("x", g)).items(), rev)
+            out.append((at, _reversed_rows(enumerate(self._lm[s]), rev), self.stride[s]))
         return out
 
 
@@ -363,10 +362,10 @@ def _through(col, tab):
 
 
 def _reversed_rows(cols, rev):
-    # the transpose of a column table, on the reversed indices rev[i];
-    # the family's tables share one int object per index
+    # the transpose of the columns (j, col), on the reversed indices
+    # rev[i]; the family's tables share one int object per index
     rows = {}
-    for j, col in enumerate(cols):
+    for j, col in cols:
         for i, c in col.items():
             rows.setdefault(rev[i], {})[rev[j]] = c
     return rows

@@ -16,6 +16,9 @@ and row_tables_by_recursion, which fills x_i = A_i + lam_i B_i by the
 straightening recursion, for those row tables and the closed-form B_i.
 nullspace_reading_all inserts every equation, for the early exit of
 fplin.nullspace.
+weyl_dim and simple_dim_low_alcoves give dim L(lam) in closed form on
+the two lowest alcoves, and from root data alone, for the head dims of
+large modules.
 check_stable confirms that a subspace handed to QuotientModule is
 stable under the action.  The basis bookkeeping of an InducedModule
 (monomial ranks, index_of, vector_at, leftmul on exponent tuples) and
@@ -408,7 +411,7 @@ def annihilator_of_top_by_columns(mod):
 def row_tables_by_recursion(mod):
     """Per active i, (A_i^T, B_i^T, Y_i^T) with op_matrix(x_i) = A_i +
     lam_i B_i, for a module whose top_rows() exist: A_i and B_i filled
-    column by column in one pass over ranks, as _table fills a column
+    column by column in one pass over ranks, as _fill fills a column
     table, x y_j y^rest = y_j (x y^rest) + [x, y_j] y^rest, where h_i
     acts on y^rest by lam_i + mwt[rest][i-1].  Transposed on reversed
     indices as top_rows() keeps them."""
@@ -432,8 +435,8 @@ def row_tables_by_recursion(mod):
                         oa[r2] = oa.get(r2, 0) + c * c2
             a.append({k: v % p for k, v in oa.items() if v % p})
             b.append({k: v % p for k, v in ob.items() if v % p})
-        yt = _reversed_rows(lm[mod.slot[g]], rev)
-        out.append((_reversed_rows(a, rev), _reversed_rows(b, rev), yt))
+        at, bt = (_reversed_rows(enumerate(t), rev) for t in (a, b))
+        out.append((at, bt, _reversed_rows(enumerate(lm[mod.slot[g]]), rev)))
     return out
 
 
@@ -506,6 +509,39 @@ def leftmul(mod, k, exps):
     {exps': coeff}, read from the module's slot table."""
     col = mod._lm[k][monomial_rank(mod, exps)]
     return {monomial_exps(mod, r): c for r, c in col.items()}
+
+
+def weyl_dim(rs, lam, roots=None):
+    """Weyl's dimension formula, the product over the positive roots of
+    <lam + rho, a^vee> / <rho, a^vee>, read from RootSystem.pairing
+    alone.  roots restricts the product, to R_J^+ for a Levi's formula
+    (rho - rho_J pairs to zero with every J coroot)."""
+    rho = (1,) * rs.n
+    num = den = 1
+    for a in rs.roots if roots is None else roots:
+        num *= rs.pairing([x + 1 for x in lam], a)
+        den *= rs.pairing(rho, a)
+    return num // den
+
+
+def simple_dim_low_alcoves(rs, lam, p):
+    """dim L(lam) for a dominant lam in the two lowest p-alcoves, else
+    None (Jantzen, Representations of Algebraic Groups, Part II).  With
+    a0 the root whose coroot pairs highest with rho: on the closed bottom
+    alcove, <lam + rho, a0^vee> <= p, it is Weyl's dimension; for p >= h
+    on the closed second alcove, where mu = s_(a0,p).lam lies in the
+    closed bottom one, it is dim V(lam) - dim V(mu)."""
+    rho = (1,) * rs.n
+    a0 = max(rs.roots, key=lambda a: rs.pairing(rho, a))
+    top = rs.pairing([x + 1 for x in lam], a0)
+    if top <= p:
+        return weyl_dim(rs, lam)
+    if rs.pairing(rho, a0) + 1 > p:
+        return None
+    mu = [x - (top - p) * c for x, c in zip(lam, rs.fund(a0))]
+    if all(0 <= rs.pairing([x + 1 for x in mu], a) <= p for a in rs.roots):
+        return weyl_dim(rs, lam) - weyl_dim(rs, mu)
+    return None
 
 
 def decompose_weight(lam, p):

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import multiprocessing
+import os
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -98,8 +101,10 @@ def test_main_theorem_forks_at_most_one_worker_per_row(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
     monkeypatch.setattr(campaigns, "ProcessPoolExecutor", InProcessPool)
     pooled = verify_main_theorem("A", 2, 5, (1,), workers=50)
@@ -129,6 +134,37 @@ def test_main_theorem_records_error_row(monkeypatch):
     assert bad["lambda"] == "1,1" and bad["dim"] == ""
     assert bad["error"] == "RuntimeError: boom"
     assert "RuntimeError: boom" in bad["traceback"]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method(allow_none=False) != "fork",
+    reason="the patched decision reaches the workers only through fork",
+)
+def test_main_theorem_survives_a_dead_worker(monkeypatch):
+    # one worker dies as if killed by the OOM killer: the rows it and the
+    # queue held become error rows naming the dead worker, the rows
+    # already returned stay, and the campaign fails
+    decide = campaigns.is_irreducible
+
+    def dying(mod, *args, **kwargs):
+        if mod.lam == (1, 1):
+            os._exit(9)
+        return decide(mod, *args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "is_irreducible", dying)
+    rep = verify_main_theorem("A", 2, 5, (1,), workers=2)
+    assert not rep["passed"] and rep["total"] == 6
+    want = RootSystem("A", 2).regular_alcove_weights(5)
+    assert [r["lambda"] for r in rep["rows"]] == [",".join(map(str, w)) for w in want]
+    bad = [r for r in rep["rows"] if r["verdict"] == "error"]
+    assert "1,1" in [r["lambda"] for r in bad]
+    for r in bad:
+        assert r["dim"] == "" and r["error"].startswith("BrokenProcessPool: ")
+        assert "worker process died" in r["error"]
+        assert "BrokenProcessPool" in r["traceback"]
+    for r in rep["rows"]:
+        assert r in bad or r["verdict"] == "irreducible"
+    assert rep["counts"]["error"] == len(bad)
 
 
 def test_sweep_validation_errors():

@@ -223,6 +223,15 @@ def test_dump_brackets_rank_one(capsys):
     ]
 
 
+@pytest.mark.parametrize("I", ["1", "banana"])
+def test_dump_brackets_rejects_I(capsys, I):
+    # the bracket table does not depend on a Levi shape
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "brackets", "--type", "A", "--rank", "1", "--I", I])
+    assert exc.value.code == 2
+    assert "--I" in capsys.readouterr().err
+
+
 def test_dump_order_golden(capsys):
     rc = main(["dump", "order", "--type", "A", "--rank", "3", "--I", "1,2"])
     out = capsys.readouterr().out

@@ -16,8 +16,10 @@ from _oracles import (
     norton_verdict,
     radical_vectors_per_line,
     row_tables_by_recursion,
+    simple_dim_low_alcoves,
     sl2_matrices,
     vector_at,
+    weyl_dim,
 )
 from babyverma import modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
@@ -523,15 +525,26 @@ def test_cold_top_index_calls_stay_shallow_on_multi_slot_modules(typ, rank, p, I
         sys.setrecursionlimit(limit)
 
 
-def test_u_minus_root_vectors_skip_the_column_tables():
+def test_u_minus_root_vectors_skip_the_column_tables(monkeypatch):
     # a u_J^- root vector acts by left multiplication on the y^a factor
-    # alone, read from the slot table: it never fills a column of its own
+    # alone, read from the slot table: act_basis makes no table for it,
+    # and its op_matrix takes the generic loop, never the straightening
     mod = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
     assert mod.levi.dim > 1
+    u_y = [("y", g) for g in mod.order]
+    for key in u_y:
+        for b in range(mod.dim):
+            mod.act_basis(key, b)
+    assert mod._cols == {}
+    generic = []
+    fill = modules.ModuleBase._fill
+    monkeypatch.setattr(
+        modules.ModuleBase, "_fill", lambda self, key: generic.append(key) or fill(self, key)
+    )
     for key in mod.alg.basis:
         mod.op_matrix(key)
-    assert mod._act_cols
-    assert not [g for typ, g in mod._act_cols if typ == "y" and g in mod.slot]
+    assert set(mod._cols) == set(mod.alg.basis)
+    assert sorted(generic) == sorted(u_y + [k for k in mod.alg.basis if k[0] == "h"])
 
 
 BRACKET_ALGEBRAS = [
@@ -563,21 +576,51 @@ def test_bracket_keys_come_before_the_table_they_fill(alg):
                             assert sum(bg) < sum(g), (I, g, c)
 
 
-def test_one_cold_call_fills_the_whole_table():
+def test_one_cold_call_fills_the_whole_table(monkeypatch):
     # B2 p=5 I={2} at (1,1) has a 2-dim Levi head
     mod = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
     assert mod.levi.dim == 2
     keys = [k for k in B2.basis if k[0] == "x" or k[0] == "y" and k[1] not in mod.slot]
+    made = []
+    op_matrix = modules.ModuleBase.op_matrix
     for key in keys:
         cold = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
         cold.act_basis(key, cold.dim // 2)
-        tab = cold._act_cols[key]
-        assert len(tab) == cold.dim and None not in tab
-        # op_matrix stores the table's own column dicts
-        cols = cold.op_matrix(key)
-        assert cols == {b: c for b, c in enumerate(tab) if c}
-        assert all(cols[b] is tab[b] is cold.act_basis(key, b) for b in cols)
-        assert cols == mod.op_matrix(key)
+        tab = cold._cols[key]
+        # every later read, op_matrix's included, returns the table's
+        # own column dicts and makes nothing more
+        monkeypatch.setattr(
+            modules.ModuleBase, "op_matrix",
+            lambda self, k: made.append(k) or op_matrix(self, k),
+        )
+        assert all(cold.act_basis(key, b) is tab[b] for b in tab)
+        assert not any(cold.act_basis(key, b) for b in range(cold.dim) if b not in tab)
+        assert made == []
+        monkeypatch.undo()
+        assert cold.op_matrix(key) is tab
+        assert tab == mod.op_matrix(key)
+
+
+def test_one_cold_call_makes_each_table_through_op_matrix_once(monkeypatch):
+    # every column table a cold x_(a1+2a2) read makes, its bracket keys'
+    # and the Levi Verma module's behind the 2-dim head included, passes
+    # through ModuleBase.op_matrix exactly once, and _cols holds it
+    mod = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
+    assert mod.levi.dim == 2
+    calls = []
+    op_matrix = modules.ModuleBase.op_matrix
+    monkeypatch.setattr(
+        modules.ModuleBase, "op_matrix",
+        lambda self, key: calls.append((self, key)) or op_matrix(self, key),
+    )
+    mod.act_basis(("x", (1, 2)), mod.dim - 1)
+    monkeypatch.undo()
+    assert len(calls) == len({(id(o), k) for o, k in calls})
+    assert ("x", (1, 2)) in mod._cols and len(mod._cols) > 1
+    owners = {id(o): o for o, _ in calls}
+    assert len(owners) > 1
+    for o in owners.values():
+        assert {k for o2, k in calls if o2 is o} == set(o._cols)
 
 
 def test_a3_p7_dim_33614_decides():
@@ -956,4 +999,50 @@ def test_x_columns_are_a_plus_lam_b(lam_shift):
 def test_radical_builds_no_column_table():
     for mod in _differential_set()[::7]:
         radical(mod)
-        assert mod._cols == {} and mod._act_cols == {}
+        assert mod._cols == {}
+
+
+# ---- dimension oracles from root data alone ----
+
+
+def test_heads_match_the_low_alcove_dims():
+    # every restricted lam of the heads workload's chi = 0 families whose
+    # dim L(lam) the two lowest alcoves give in closed form: 49 + 10 + 10
+    # + 1 heads (A3 p=3 has p < h, so only its bottom alcove counts)
+    covered = []
+    for typ, rank, p in [("A", 2, 7), ("B", 2, 5), ("C", 2, 5), ("A", 3, 3)]:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        for lam in itertools.product(range(p), repeat=rank):
+            want = simple_dim_low_alcoves(alg.rs, lam, p)
+            if want is not None:
+                covered.append((typ, p))
+                got = head(build_baby_verma(alg, PChar(p, ()), lam)).dim
+                assert got == want, (typ, rank, p, lam)
+    assert len(covered) == 70
+    assert [covered.count(k) for k in sorted(set(covered))] == [1, 49, 10, 10]
+
+
+def test_sweep_rows_match_the_levi_weyl_dim():
+    # a sweep row is induced from L_J(lam_J): with lam_J in the Levi's
+    # closed bottom alcove its dim is p^m times Weyl's formula over R_J^+,
+    # m the number of u_J roots; the six perfbench sweep families, 147 rows
+    families = [
+        ("A", 2, 13, (1,)),
+        ("A", 2, 11, (1,)),
+        ("B", 2, 7, (2,)),
+        ("C", 2, 7, (1,)),
+        ("A", 3, 7, (1,)),
+        ("A", 3, 5, (1,)),
+    ]
+    covered = 0
+    for typ, rank, p, I in families:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        rs = alg.rs
+        levi = [g for g in rs.roots if all(c == 0 or k + 1 not in I for k, c in enumerate(g))]
+        for lam in rs.regular_alcove_weights(p):
+            if all(rs.pairing([x + 1 for x in lam], g) <= p for g in levi):
+                covered += 1
+                mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+                want = p ** (len(rs.roots) - len(levi)) * weyl_dim(rs, lam, levi)
+                assert mod.dim == want, (typ, rank, p, I, lam)
+    assert covered == 147
