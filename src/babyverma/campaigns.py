@@ -8,10 +8,11 @@ holds vacuously; the report says so rather than hiding it.
 
 The two block campaigns walk the subregular orbits: type A under the
 Coxeter element with the last simple index parabolic, type B with the
-first.  They check the closed-form orbit weights, the predicted
-dimensions r_i * p^(N-1), the block dimension sum p^N (type A), and
-the irreducibility of every built module.  Sweep rows and orbit rows
-are built and decided by one row function, under the same caps.
+first.  Each checks its closed-form orbit weights and hands the rows,
+with their predicted dimensions r_i * p^(N-1), to one orbit driver,
+which decides every built module; type A then checks the block
+dimension sum p^N.  Sweep rows and orbit rows are built and decided by
+one row function, under the same caps.
 """
 
 import csv
@@ -22,12 +23,13 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .chevalley import ChevalleyAlgebra, make_pchar
+from .chevalley import ChevalleyAlgebra, PChar, make_pchar
 from .fplin import span_closure
 from .modules import (
     DIM_CAP,
     LINES_CAP,
     CapExceeded,
+    build_baby_verma,
     build_parabolic_baby_verma,
     is_irreducible,
 )
@@ -81,6 +83,10 @@ def check_sweep_params(typ, rank, p, I):
     return rs
 
 
+# the fields of a row not yet decided
+_UNDECIDED = {"dim": "", "verdict": "", "witness_dim": "", "millis": 0}
+
+
 def _row(typ, rank, p, I, lam):
     return {
         "type": typ,
@@ -88,11 +94,16 @@ def _row(typ, rank, p, I, lam):
         "p": p,
         "I": ",".join(str(i) for i in sorted(I)),
         "lambda": ",".join(str(x) for x in lam),
-        "dim": "",
-        "verdict": "",
-        "witness_dim": "",
-        "millis": 0,
+        **_UNDECIDED,
     }
+
+
+def _error_row(row, error):
+    """Make row an error row for the exception being handled: no dim or
+    witness, the error text and the traceback."""
+    row.update(dim="", witness_dim="", verdict="error", error=error)
+    row["traceback"] = traceback.format_exc()
+    return row
 
 
 def _decide(row, alg, chi, lam, cap, lines_cap):
@@ -115,9 +126,7 @@ def _decide(row, alg, chi, lam, cap, lines_cap):
     except CapExceeded:
         row["verdict"] = "skipped"
     except Exception as exc:
-        row.update(dim="", witness_dim="", verdict="error")
-        row["error"] = "%s: %s" % (type(exc).__name__, exc)
-        row["traceback"] = traceback.format_exc()
+        _error_row(row, "%s: %s" % (type(exc).__name__, exc))
     row["millis"] = int((time.monotonic() - t0) * 1000)
     return row
 
@@ -135,15 +144,12 @@ def _pooled_row(future, task):
     becomes an error row, and the rows already returned are kept."""
     try:
         return future.result()
-    except BrokenProcessPool as exc:
-        row = _row(*task[:5])
-        row["verdict"] = "error"
-        row["error"] = (
+    except BrokenProcessPool:
+        return _error_row(
+            _row(*task[:5]),
             "BrokenProcessPool: a sweep worker process died while this row "
-            "was running or queued"
+            "was running or queued",
         )
-        row["traceback"] = "".join(traceback.format_exception(exc))
-        return row
 
 
 def verify_main_theorem(typ, rank, p, I, cap=DIM_CAP, lines_cap=LINES_CAP, workers=1):
@@ -184,15 +190,29 @@ def _pairings(r):
     return r
 
 
-def _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, lines_cap):
-    """One orbit row: fields, then, with build, the decided module at
-    lam, which is ok when irreducible of dimension expected_dim.
-    build=False leaves dim and verdict empty and the row ok."""
-    row = dict(fields, expected_dim=expected_dim, dim="", verdict="", witness_dim="", millis=0)
-    if build:
-        _decide(row, alg, chi, lam, cap, lines_cap)
-    row["ok"] = not build or (row["dim"], row["verdict"]) == (expected_dim, "irreducible")
-    return row
+def _orbit(campaign, typ, p, r, I, cases, build, cap, lines_cap):
+    """The report of an orbit campaign of type typ, pairings r and Levi
+    shape I, one row per case (fields, lam, expected_dim).  lam None
+    makes a row of fields alone, marked skipped: it carries no claim.
+    Any other case makes a row of fields and expected_dim; with build,
+    the module at lam is built and decided, and the row is ok when it
+    is irreducible of dimension expected_dim.  build=False leaves dim
+    and verdict empty and the row ok.  The campaign passes when every
+    row is ok."""
+    alg = _algebra(typ, len(r))
+    chi = make_pchar(alg, p, I)
+    rows = []
+    for fields, lam, expected_dim in cases:
+        if lam is None:
+            rows.append(dict(fields, skipped=True))
+            continue
+        row = dict(fields, expected_dim=expected_dim, **_UNDECIDED)
+        if build:
+            _decide(row, alg, chi, lam, cap, lines_cap)
+        row["ok"] = not build or (row["dim"], row["verdict"]) == (expected_dim, "irreducible")
+        rows.append(row)
+    passed = all(row.get("ok", True) for row in rows)
+    return dict(campaign=campaign, type=typ, rank=len(r), p=p, r=list(r), rows=rows, passed=passed)
 
 
 def subregular_block_a(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
@@ -207,46 +227,31 @@ def subregular_block_a(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
     n = len(r)
     if sum(r) > p - 1:
         raise ValueError("sum of r must be at most p-1")
-    rs = check_sweep_params("A", n, p, tuple(range(1, n)))
-    alg = _algebra("A", n)
-    chi = make_pchar(alg, p, range(1, n))
+    I = tuple(range(1, n))
+    rs = check_sweep_params("A", n, p, I)
     total = sum(r)
     npos = len(rs.roots)
     lam0 = tuple(x - 1 for x in r)
-    rows = []
-    dimsum = 0
-    passed = True
+    cases = []
     for i in range(n + 1):
         lam = rs.dot_action([j for j in range(1, n + 1)] * i, lam0)
         lam_rho = tuple(x + 1 for x in lam)
-        if i == 0:
-            expect_rho = r
-        else:
-            expect_rho = r[n - i + 1 :] + (-total,) + r[: n - i]
+        expect_rho = r[n - i + 1 :] + (-total,) + r[: n - i] if i else r
         head = r[n - i - 1] if i < n else p - total
         if lam_rho != expect_rho:
             raise AssertionError(
                 "orbit weight %d: %r, expected %r" % (i, lam_rho, expect_rho)
             )
-        expected_dim = head * p ** (npos - 1)
         fields = {"i": i, "lambda": list(lam), "lambda_plus_rho": list(lam_rho)}
-        row = _orbit_row(fields, alg, chi, lam, expected_dim, build, cap, lines_cap)
-        passed = passed and row["ok"]
-        dimsum += (row["dim"] or 0) if build else expected_dim
-        rows.append(row)
-    sum_ok = dimsum == p**npos
-    return {
-        "campaign": "subregular-A",
-        "type": "A",
-        "rank": n,
-        "p": p,
-        "r": list(r),
-        "rows": rows,
-        "dim_sum": dimsum,
-        "dim_sum_expected": p**npos,
-        "sum_ok": sum_ok,
-        "passed": passed and sum_ok,
-    }
+        cases.append((fields, lam, head * p ** (npos - 1)))
+    report = _orbit("subregular-A", "A", p, r, I, cases, build, cap, lines_cap)
+    # the built dims, or the predicted ones; an undecided row adds nothing
+    dims = [row["dim"] if build else row["expected_dim"] for row in report["rows"]]
+    dim_sum = sum(d for d in dims if d != "")
+    sum_ok = dim_sum == p**npos
+    report.update(dim_sum=dim_sum, dim_sum_expected=p**npos, sum_ok=sum_ok)
+    report["passed"] = report["passed"] and sum_ok
+    return report
 
 
 def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
@@ -261,14 +266,12 @@ def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
     n = len(r)
     if 2 * sum(r[: n - 1]) + r[n - 1] > p - 1:
         raise ValueError("2(r_1+..+r_{n-1}) + r_n must be at most p-1")
-    rs = check_sweep_params("B", n, p, tuple(range(2, n + 1)))
-    alg = _algebra("B", n)
-    chi = make_pchar(alg, p, range(2, n + 1))
+    I = tuple(range(2, n + 1))
+    rs = check_sweep_params("B", n, p, I)
     npos = len(rs.roots)
     lam1 = tuple(x - 1 for x in r)
     long_sum = r[0] + 2 * sum(r[1 : n - 1]) + r[n - 1]
-    rows = []
-    passed = True
+    cases = []
     for i in range(1, 2 * n + 1):
         if i <= n:
             word = list(range(1, i))
@@ -287,14 +290,8 @@ def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
             if lam_rho != expect:
                 raise AssertionError("row 2n: %r, expected %r" % (lam_rho, expect))
         if i in (n, 2 * n):
-            rows.append(
-                {
-                    "i": i,
-                    "lambda": list(lam),
-                    "lambda_plus_rho": list(lam_rho),
-                    "skipped": True,
-                }
-            )
+            fields = {"i": i, "lambda": list(lam), "lambda_plus_rho": list(lam_rho)}
+            cases.append((fields, None, None))
             continue
         if i == 1:
             lam_p = lam
@@ -310,7 +307,6 @@ def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
             raise AssertionError(
                 "row %d first component %d, expected %d" % (i, first, expect_first)
             )
-        expected_dim = expect_first * p ** (npos - 1)
         fields = {
             "i": i,
             "lambda": list(lam),
@@ -319,18 +315,8 @@ def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
             "first_component": first,
             "skipped": False,
         }
-        row = _orbit_row(fields, alg, chi, lam_p, expected_dim, build, cap, lines_cap)
-        passed = passed and row["ok"]
-        rows.append(row)
-    return {
-        "campaign": "subregular-B",
-        "type": "B",
-        "rank": n,
-        "p": p,
-        "r": list(r),
-        "rows": rows,
-        "passed": passed,
-    }
+        cases.append((fields, lam_p, expect_first * p ** (npos - 1)))
+    return _orbit("subregular-B", "B", p, r, I, cases, build, cap, lines_cap)
 
 
 def negative_controls():
@@ -338,9 +324,6 @@ def negative_controls():
     must reproduce: restricted rank-one modules are reducible except at
     the top weight, the rank-two restricted module at zero is
     reducible, its top restricted weight is not."""
-    from .chevalley import PChar
-    from .modules import build_baby_verma
-
     rows = []
 
     def record(name, expected, got):

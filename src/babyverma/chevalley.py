@@ -20,6 +20,7 @@ Everything is computed in exact rationals and asserted integral with
 
 from fractions import Fraction
 
+from .fplin import addmul
 from .roots import root_label
 
 
@@ -247,12 +248,7 @@ class ChevalleyAlgebra:
                     }
                 ref = {}
                 for k, v in self.p_power(b).items():
-                    for k2, v2 in self.bracket_combo({k: v}, {c: 1}).items():
-                        n = (ref.get(k2, 0) + v2) % p
-                        if n:
-                            ref[k2] = n
-                        elif k2 in ref:
-                            del ref[k2]
+                    addmul(ref, self.bracket_combo({k: v}, {c: 1}), 1, p)
                 if cur != ref:
                     raise AssertionError(
                         "restricted identity fails for ad(%s)^%d on %s"

@@ -657,10 +657,44 @@ def test_radical_matches_per_line_oracle():
         )
     )
     mods.append(build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1)))
+    # dim 405 over a 15-dim Levi head, radical ranks 270 and 216: the
+    # line path's recursion into the quotient by its first-stage sum
+    # adds rows on both
+    mods += [
+        build_parabolic_baby_verma(A3, _chi(A3, 3, (1,)), lam)
+        for lam in ((1, 1, 2), (1, 2, 1))
+    ]
     for mod in mods:
         vecs = radical_vectors_per_line(mod)
         want = span_closure(vecs, [], mod.p, grade=mod.grades())
         assert radical(mod).rows == want.rows
+
+
+def test_line_path_radical_matches_transposed_closure(monkeypatch):
+    # both radical paths on every restricted chi = 0 module of A2, B2
+    # and C2 at p = 3.  The line path recurses into the quotient by its
+    # first-stage sum; on A2 (1,1) that step must add rows, or this test
+    # no longer covers it
+    added = []
+    line_path = modules._radical_vectors
+
+    def spy(mod, cap):
+        out = line_path(mod, cap)
+        if isinstance(mod, QuotientModule):
+            added.append(out.echelon().rank())
+        return out
+
+    monkeypatch.setattr(modules, "_radical_vectors", spy)
+    C2 = ChevalleyAlgebra(RootSystem("C", 2))
+    for alg in (A2, B2, C2):
+        for lam in itertools.product(range(3), repeat=2):
+            mod = build_baby_verma(alg, PChar(3, []), lam)
+            del added[:]
+            got = modules._radical_vectors(mod, modules.LINES_CAP).echelon().rows
+            assert got == modules._annihilator_of_top(mod).rows
+            if alg is A2 and lam == (1, 1):
+                # the outermost quotient's rows are the last recorded
+                assert (len(got) - added[-1], len(got)) == (18, 20)
 
 
 def test_radical_rejects_non_simple_head():
