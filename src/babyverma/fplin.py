@@ -5,6 +5,8 @@ never stored). Linear operators are dicts {col_index: image_vector}, i.e.
 column form; missing columns act as zero.
 """
 
+from collections import deque
+
 
 def fp_inv(a, p):
     a %= p
@@ -169,10 +171,15 @@ def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
     The closure then keeps a GradedEchelon; every seed must be supported
     on a single key (else ValueError).  The result equals the flat one.
     stop, if given, is an index: the closure returns as soon as e_stop
-    lies in it."""
+    lies in it.
+
+    The queue is first in, first out: rows go in by their distance from
+    the seeds, which keeps the reduced rows sparse and each insert cheap.
+    A closure run to the end gives the same rows in any order, RREF
+    being unique, and one stopped at e_stop stops in any order."""
     space = GradedEchelon(p, grade)
     target = None if stop is None else {stop: 1}
-    queue = []
+    queue = deque()
     rank = 0
 
     def insert(v):
@@ -197,7 +204,7 @@ def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
     while queue and not done:
         if dim is not None and rank >= dim:
             break
-        v = queue.pop()
+        v = queue.popleft()
         for op in ops:
             if insert(apply_columns(op, v, p)):
                 done = True

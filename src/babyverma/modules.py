@@ -38,10 +38,12 @@ simple root a slot (every chi = 0 baby Verma module and every Levi Verma
 module behind a Levi head), the module is a graded G_1T-module with the
 highest vector's line as its top weight space, so the radical is the
 annihilator of the closure of e*_high under the transposed action: one
-closure of rank dim(head).  There op_matrix(x_i) = A_i + lam_i B_i mod p:
-the family keeps the transposed rows of A_i, which is x_i at lam = 0, and
-of y_i; B_i removes one y_(alpha_i), times its exponent, and is read in
-closed form.  So the closure builds no column table of the module.
+closure of rank dim(head).  With chi = 0 every y_i raises the PBW degree,
+so y_i^T kills e*_high and the closure runs under the transposed x_i
+alone.  There op_matrix(x_i) = A_i + lam_i B_i mod p: the family keeps
+the transposed rows of A_i, which is x_i at lam = 0; B_i removes one
+y_(alpha_i), times its exponent, and is read in closed form.  So the
+closure builds no column table of the module.
 Any other module sums the closures of its non-generating kernel lines
 as it goes, skipping lines already in the sum, and checks on the way
 that the head is simple, which it relies on: HeadNotSimple refuses a
@@ -315,9 +317,9 @@ class InducedModule(ModuleBase):
         return cols
 
     def top_rows(self):
-        """Per active i, (A_i^T, Y_i^T, stride of s): on reversed indices
-        r -> dim-1-r, the rows of A_i = x_i at lam = 0 and of y_i, s the
-        slot of alpha_i; shared by the family (p, u_J^- order, chi on the
+        """Per active i, (A_i^T, stride of s): on reversed indices
+        r -> dim-1-r, the rows of A_i = x_i at lam = 0, s the slot of
+        alpha_i; shared by the family (p, u_J^- order, chi on the
         slots, active).  None unless the base is one-dimensional, chi is
         zero on every slot and each active simple root is a slot whose x_i
         brackets every slot vector into h_i or a slot: only h_i = [x_i, y_s]
@@ -346,9 +348,8 @@ class InducedModule(ModuleBase):
                 t == "y" and h not in self.slot for terms in brk for (t, h), _ in terms
             ):
                 return None
-            s = self.slot[g]
             at = _reversed_rows(zero.op_matrix(("x", g)).items(), rev)
-            out.append((at, _reversed_rows(enumerate(self._lm[s]), rev), self.stride[s]))
+            out.append((at, self.stride[self.slot[g]]))
         return out
 
 
@@ -533,7 +534,11 @@ def generates(mod, vec):
 
 
 class IrreducibilityReport:
-    def __init__(self, irreducible, mod, profile, witness, witness_key, lines):
+    """witness_dim, the dim of the submodule the witness generates, is
+    an attribute only: to_dict() leaves it out."""
+
+    def __init__(self, irreducible, mod, profile, witness, witness_key, lines,
+                 witness_dim=None):
         self.irreducible = irreducible
         self.dim = mod.dim
         self.p = mod.p
@@ -542,6 +547,7 @@ class IrreducibilityReport:
         self.witness = witness
         self.witness_key = witness_key
         self.lines_checked = lines
+        self.witness_dim = witness_dim
 
     def to_dict(self):
         return {
@@ -597,8 +603,12 @@ def is_irreducible(mod, cap=LINES_CAP):
     checked = 0
     for wt, v in lines:
         checked += 1
-        if not generates(mod, v):
-            return IrreducibilityReport(False, mod, profile, v, wt, checked)
+        # a line that does not generate never reaches mod.high, so its
+        # closure runs to the end: the submodule the witness generates
+        sub = _line_closure(mod, v)
+        if not sub.contains({mod.high: 1}):
+            rank = sub.rank()
+            return IrreducibilityReport(False, mod, profile, v, wt, checked, rank)
     return IrreducibilityReport(True, mod, profile, None, None, checked)
 
 
@@ -610,11 +620,13 @@ def radical(mod, cap=LINES_CAP):
     slot, each active simple root a slot) is a graded G_1T-module with
     the highest vector's line as top weight space, so its radical is the
     largest submodule in the kernel of e*_high: the annihilator of the
-    closure of e*_high under the transposed xy action, of rank
+    closure of e*_high under the transposed x action, of rank
     dim(head), with no kernel lines, no cap and no column table of the
-    module.  Any other module closes its non-generating kernel lines (at
-    most cap) and raises HeadNotSimple if they are seen to generate
-    together.  Both paths give the same reduced row form."""
+    module: each y_i raises the PBW degree when chi = 0, so y_i^T kills
+    e*_high and the x_i^T alone close it under all of u(g).  Any other
+    module closes its non-generating kernel lines (at most cap) and
+    raises HeadNotSimple if they are seen to generate together.  Both
+    paths give the same reduced row form."""
     if isinstance(mod, InducedModule) and mod.top_rows() is not None:
         return _annihilator_of_top(mod)
     return _radical_vectors(mod, cap).echelon()
@@ -624,12 +636,14 @@ def _annihilator_of_top(mod):
     # The closure W runs on reversed indices i -> n - i, so its min-pivot
     # rows are W's max-pivot reduced rows.  For each free column f of
     # that form, e_f - sum_q W[q][f] e_q is the row of pivot f in the
-    # min-pivot reduced form of the annihilator.
+    # min-pivot reduced form of the annihilator.  Every word in the x_i
+    # and y_i is a sum of Y-word.H.X-word, and Y_j^T e*_high = 0 while
+    # h^T e*_high = lam(h) e*_high, so the x_i^T alone make the closure.
     n, p = mod.dim - 1, mod.p
     ops = []
-    for i, (a, y, stride) in zip(mod.active, mod.top_rows()):
+    for i, (a, stride) in zip(mod.active, mod.top_rows()):
         lam = mod.lam[i - 1] % p
-        ops += [_RowsAt(a, stride, lam, p) if lam else a, y]
+        ops.append(_RowsAt(a, stride, lam, p) if lam else a)
     w = span_closure(
         [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
     ).rows

@@ -184,14 +184,6 @@ class RootSystem:
                 mu = self.affine_reflect(mu, alpha, r, p if p else 0)
         return tuple(x - 1 for x in mu)
 
-    def in_first_dominant_alcove(self, lam, p):
-        mu = tuple(x + 1 for x in lam)
-        return all(0 <= self.pairing(mu, g) < p for g in self.roots)
-
-    def is_p_regular(self, lam, p):
-        mu = tuple(x + 1 for x in lam)
-        return all(self.pairing(mu, g) % p != 0 for g in self.roots)
-
     def regular_alcove_weights(self, p):
         """All p-regular weights in the first dominant alcove, sorted."""
         out = []

@@ -13,7 +13,9 @@ the weight classes and grades built from the per-rank tables; and
 annihilator_of_top_by_columns, which transposes the module's own xy
 column tables, for the family row tables of modules._annihilator_of_top;
 and row_tables_by_recursion, which fills x_i = A_i + lam_i B_i by the
-straightening recursion, for those row tables and the closed-form B_i.
+straightening recursion, for those row tables and the closed-form B_i;
+and span_closure_depth_first, the last-in, first-out closure loop, for
+the first-in, first-out queue of fplin.span_closure.
 nullspace_reading_all inserts every equation, for the early exit of
 fplin.nullspace.
 weyl_dim and simple_dim_low_alcoves give dim L(lam) in closed form on
@@ -21,13 +23,14 @@ the two lowest alcoves, and from root data alone, for the head dims of
 large modules.
 check_stable confirms that a subspace handed to QuotientModule is
 stable under the action.  The basis bookkeeping of an InducedModule
-(monomial ranks, index_of, vector_at, leftmul on exponent tuples) and
-decompose_weight are read only by tests, so they live here too.
+(monomial ranks, index_of, vector_at, leftmul on exponent tuples),
+decompose_weight, in_first_dominant_alcove and is_p_regular are read
+only by tests, so they live here too.
 """
 
 import random
 
-from babyverma.fplin import Echelon, apply_columns, span_closure
+from babyverma.fplin import Echelon, GradedEchelon, apply_columns, span_closure
 from babyverma.modules import (
     QuotientModule,
     _kernel_lines,
@@ -383,10 +386,50 @@ def radical_vectors_per_line(mod, cap=10000):
     return out
 
 
-def annihilator_of_top_by_columns(mod):
+def span_closure_depth_first(seeds, ops, p, dim=None, grade=None, stop=None):
+    """fplin.span_closure with its queue popped last in, first out: the
+    depth-first order the closure ran in before its queue became first
+    in, first out.  A closure run to the end has the same rows."""
+    space = GradedEchelon(p, grade)
+    target = None if stop is None else {stop: 1}
+    queue = []
+    rank = 0
+
+    def insert(v):
+        # True once e_stop lies in the span; in RREF that is when its
+        # row is exactly e_stop, and only v's own part has changed
+        nonlocal rank
+        if grade is not None and not v:
+            return False
+        ech = space.part(v)
+        r = ech.insert(v)
+        if r is None:
+            return False
+        queue.append(r)
+        rank += 1
+        return target is not None and ech.rows.get(stop) == target
+
+    done = False
+    for s in seeds:
+        if grade is not None and len({grade[i] for i in s}) > 1:
+            raise ValueError("seed is not homogeneous for the grading")
+        done = insert(s) or done
+    while queue and not done:
+        if dim is not None and rank >= dim:
+            break
+        v = queue.pop()
+        for op in ops:
+            if insert(apply_columns(op, v, p)):
+                done = True
+                break
+    return space.echelon()
+
+
+def annihilator_of_top_by_columns(mod, closure=span_closure):
     """The radical of a graded module with one-dimensional top, as the
     annihilator of the closure of e*_high under the transposes of the
-    module's own xy column tables, the closure on reversed indices."""
+    module's own xy column tables, the closure on reversed indices and
+    made by closure."""
     n, p = mod.dim - 1, mod.p
     ops = []
     for op in mod.xy_ops():
@@ -395,9 +438,7 @@ def annihilator_of_top_by_columns(mod):
             for i, c in col.items():
                 t.setdefault(n - i, {})[n - j] = c
         ops.append(t)
-    w = span_closure(
-        [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
-    ).rows
+    w = closure([{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]).rows
     rows = {f: {f: 1} for f in range(mod.dim) if n - f not in w}
     for rq, row in w.items():
         for ri, c in row.items():
@@ -409,7 +450,7 @@ def annihilator_of_top_by_columns(mod):
 
 
 def row_tables_by_recursion(mod):
-    """Per active i, (A_i^T, B_i^T, Y_i^T) with op_matrix(x_i) = A_i +
+    """Per active i, (A_i^T, B_i^T) with op_matrix(x_i) = A_i +
     lam_i B_i, for a module whose top_rows() exist: A_i and B_i filled
     column by column in one pass over ranks, as _fill fills a column
     table, x y_j y^rest = y_j (x y^rest) + [x, y_j] y^rest, where h_i
@@ -435,8 +476,7 @@ def row_tables_by_recursion(mod):
                         oa[r2] = oa.get(r2, 0) + c * c2
             a.append({k: v % p for k, v in oa.items() if v % p})
             b.append({k: v % p for k, v in ob.items() if v % p})
-        at, bt = (_reversed_rows(enumerate(t), rev) for t in (a, b))
-        out.append((at, bt, _reversed_rows(enumerate(lm[mod.slot[g]]), rev)))
+        out.append(tuple(_reversed_rows(enumerate(t), rev) for t in (a, b)))
     return out
 
 
@@ -542,6 +582,18 @@ def simple_dim_low_alcoves(rs, lam, p):
     if all(0 <= rs.pairing([x + 1 for x in mu], a) <= p for a in rs.roots):
         return weyl_dim(rs, lam) - weyl_dim(rs, mu)
     return None
+
+
+def in_first_dominant_alcove(rs, lam, p):
+    """Whether <lam + rho, a^vee> lies in [0, p) for every positive root."""
+    mu = tuple(x + 1 for x in lam)
+    return all(0 <= rs.pairing(mu, g) < p for g in rs.roots)
+
+
+def is_p_regular(rs, lam, p):
+    """Whether p divides no <lam + rho, a^vee> over the positive roots."""
+    mu = tuple(x + 1 for x in lam)
+    return all(rs.pairing(mu, g) % p != 0 for g in rs.roots)
 
 
 def decompose_weight(lam, p):

@@ -7,7 +7,12 @@ the end of the run.
 
 import itertools
 
-from _oracles import cyclic_verdict, norton_verdict, sl2_matrices
+from _oracles import (
+    cyclic_verdict,
+    norton_verdict,
+    sl2_matrices,
+    span_closure_depth_first,
+)
 from conftest import record
 
 from babyverma.campaigns import (
@@ -187,6 +192,28 @@ def test_graded_closure_matches_flat_on_zoo():
             graded = span_closure(bad, ops, p, grade=mod.grades())
             assert graded.rows == span_closure(bad, ops, p).rows
     assert reducible == 4
+
+
+def test_generates_verdicts_match_depth_first_on_zoo():
+    """generates, through the first-in, first-out span_closure, against
+    the same stopped closure popped last in, first out, on every kernel
+    line of the zoo; a line that does not generate is closed to the end
+    in both orders, with equal rows."""
+    reducible = 0  # non-generating lines
+    for mod in _zoo():
+        ops, p, grade = mod.xy_ops(), mod.p, mod.grades()
+        _, lines = _kernel_lines(mod, 10000)
+        for _, v in lines:
+            slow = span_closure_depth_first(
+                [v], ops, p, dim=mod.dim, grade=grade, stop=mod.high
+            )
+            verdict = generates(mod, v)
+            assert verdict == slow.contains({mod.high: 1})
+            if not verdict:
+                reducible += 1
+                fast = span_closure([v], ops, p, dim=mod.dim, grade=grade)
+                assert fast.rows == slow.rows
+    assert reducible == 11
 
 
 def test_oracle_equivalence():

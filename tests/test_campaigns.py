@@ -1,6 +1,7 @@
 """Family sweeps and subregular orbit blocks."""
 
 import csv
+import itertools
 import json
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from babyverma import campaigns
+from babyverma import campaigns, modules
 from babyverma.campaigns import (
     CSV_COLUMNS,
     analyze_weight,
@@ -21,6 +22,9 @@ from babyverma.campaigns import (
     write_csv,
     write_json,
 )
+from babyverma.chevalley import make_pchar
+from babyverma.fplin import span_closure
+from babyverma.modules import build_parabolic_baby_verma, is_irreducible
 from babyverma.roots import RootSystem
 
 
@@ -188,6 +192,68 @@ def test_analyze_weight_row_shape():
     row = analyze_weight("A", 2, 5, (1,), (0, 1), cap=10)
     assert row["verdict"] == "skipped"
     assert row["dim"] == ""
+
+
+@pytest.mark.parametrize(
+    "typ, p, I, lam, dim, witness_dim",
+    [
+        ("A", 5, (1,), (0, 4), 125, 100),
+        ("A", 5, (1,), (2, 2), 75, 50),
+        ("B", 5, (2,), (1, 1), 250, 125),
+    ],
+)
+def test_witness_dim_frozen(typ, p, I, lam, dim, witness_dim):
+    row = analyze_weight(typ, 2, p, I, lam)
+    assert row["verdict"] == "reducible"
+    assert (row["dim"], row["witness_dim"]) == (dim, witness_dim)
+
+
+def test_witness_dim_is_the_rank_of_the_witness_closure():
+    # every reducible row of four rank-two shapes: witness_dim is the rank
+    # of the witness's xy closure, closed afresh without a stop, and is
+    # no key of the report's dict
+    reducible = 0
+    for typ, p, I in (("A", 5, (1,)), ("B", 5, (2,)), ("C", 5, (1,)), ("A", 3, (1,))):
+        alg = campaigns._algebra(typ, 2)
+        for lam in itertools.product(range(p), repeat=2):
+            row = analyze_weight(typ, 2, p, I, lam)
+            if row["verdict"] != "reducible":
+                continue
+            reducible += 1
+            mod = build_parabolic_baby_verma(alg, make_pchar(alg, p, I), lam)
+            rep = is_irreducible(mod)
+            sub = span_closure(
+                [rep.witness], mod.xy_ops(), p, dim=mod.dim, grade=mod.grades()
+            )
+            assert row["witness_dim"] == rep.witness_dim == sub.rank() < mod.dim
+            assert "witness_dim" not in rep.to_dict()
+    assert reducible == 41
+
+
+def test_reducible_row_closes_each_line_once(monkeypatch):
+    # witness_dim comes from the closure is_irreducible already made: once
+    # the module is built (its Levi head takes one closure), one closure
+    # per checked line
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return span_closure(*args, **kwargs)
+
+    def build(*args, **kwargs):
+        mod = build_parabolic_baby_verma(*args, **kwargs)
+        calls.clear()
+        return mod
+
+    monkeypatch.setattr(modules, "span_closure", counted)
+    monkeypatch.setattr(campaigns, "span_closure", counted)
+    monkeypatch.setattr(campaigns, "build_parabolic_baby_verma", build)
+    row = analyze_weight("A", 2, 5, (1,), (0, 4))
+    assert row["verdict"] == "reducible"
+    closures = len(calls)
+    alg = campaigns._algebra("A", 2)
+    mod = build_parabolic_baby_verma(alg, make_pchar(alg, 5, (1,)), (0, 4))
+    assert closures == is_irreducible(mod).lines_checked == 3
 
 
 def test_subregular_block_a_small():

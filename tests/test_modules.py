@@ -18,6 +18,7 @@ from _oracles import (
     row_tables_by_recursion,
     simple_dim_low_alcoves,
     sl2_matrices,
+    span_closure_depth_first,
     vector_at,
     weyl_dim,
 )
@@ -974,8 +975,8 @@ def test_radical_matches_the_column_transposition():
 
 
 def test_row_tables_match_the_recursion():
-    # per family, A^T and Y^T equal the one-pass A/B recursion's, dict
-    # order included, and at lam_i = 1 every row read is A^T + B^T mod p,
+    # per family, A^T equals the one-pass A/B recursion's, dict order
+    # included, and at lam_i = 1 every row read is A^T + B^T mod p,
     # so rows whose slot digit is 0 (A's own) and p-1 alike
     seen = set()
     for mod in _differential_set():
@@ -985,8 +986,8 @@ def test_row_tables_match_the_recursion():
         seen.add(key)
         got, want = mod.top_rows(), row_tables_by_recursion(mod)
         assert len(got) == len(want) == len(mod.active)
-        for (a, y, stride), (wa, wb, wy) in zip(got, want):
-            assert repr((a, y)) == repr((wa, wy))
+        for (a, stride), (wa, wb) in zip(got, want):
+            assert repr(a) == repr(wa)
             rows = modules._RowsAt(a, stride, 1, mod.p)
             for j in range(mod.dim):
                 row = addmul(dict(wa.get(j, {})), wb.get(j, {}), 1, mod.p)
@@ -1015,7 +1016,7 @@ def test_x_columns_are_a_plus_lam_b(lam_shift):
         else:
             mod = _levi_verma(alg, p, I, lam)
         n = mod.dim - 1
-        for i, (a, y, stride) in zip(mod.active, mod.top_rows()):
+        for i, (a, stride) in zip(mod.active, mod.top_rows()):
             rows = modules._RowsAt(a, stride, mod.lam[i - 1], p)
             cols = {}
             for j in range(mod.dim):
@@ -1023,11 +1024,46 @@ def test_x_columns_are_a_plus_lam_b(lam_shift):
                     cols.setdefault(n - k, {})[j] = c
             g = mod.rs.simple(i)
             assert cols == mod.op_matrix(("x", g))
-            ycols = {}
-            for j, row in y.items():
-                for k, c in row.items():
-                    ycols.setdefault(n - k, {})[n - j] = c
-            assert ycols == mod.op_matrix(("y", g))
+
+
+def test_breadth_first_closures_match_depth_first():
+    # fplin.span_closure against the last-in, first-out loop it replaced,
+    # both closed to the end.  Transposed: the closure of e*_high under
+    # the x_i^T readers gives equal rows in either order, and radical()
+    # equals the annihilator of the depth-first closure under every
+    # transposed xy column.  Line side: the xy closure of a maximal
+    # vector that does not generate.
+    mods = _differential_set()
+    for mod in mods:
+        p, dim, grade = mod.p, mod.dim, mod.grades()
+        ops = [
+            modules._RowsAt(a, stride, mod.lam[i - 1], p)
+            for i, (a, stride) in zip(mod.active, mod.top_rows())
+        ]
+        seed, rgrade = [{dim - 1 - mod.high: 1}], grade[::-1]
+        fast = span_closure(seed, ops, p, dim=dim, grade=rgrade)
+        slow = span_closure_depth_first(seed, ops, p, dim=dim, grade=rgrade)
+        assert fast.rows == slow.rows
+        rebuilt = modules.InducedModule(
+            mod.alg, mod.chi, mod.order, mod.levi, active=mod.active
+        )
+        want = annihilator_of_top_by_columns(rebuilt, span_closure_depth_first)
+        assert radical(mod).rows == want.rows
+    proper = 0
+    for mod in mods[::3]:
+        # a full closure's rows are the identity, so close the first
+        # maximal vector that does not generate
+        p, dim, grade = mod.p, mod.dim, mod.grades()
+        vecs = (v for _, vs in sorted(maximal_vectors(mod).items()) for v in vs)
+        v = next((v for v in vecs if not generates(mod, v)), None)
+        if v is not None:
+            xy = mod.xy_ops()
+            fast = span_closure([v], xy, p, dim=dim, grade=grade)
+            slow = span_closure_depth_first([v], xy, p, dim=dim, grade=grade)
+            assert fast.rows == slow.rows
+            proper += 1
+    assert len(mods) == 216
+    assert proper == 67
 
 
 def test_radical_builds_no_column_table():
