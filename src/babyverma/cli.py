@@ -97,7 +97,8 @@ def _expand_config(argv):
                 elif value.lower() == "false":
                     pass
                 else:
-                    tokens.extend([opt, value])
+                    # one token, so a value such as -1,0 is not read as an option
+                    tokens.append(opt + "=" + value)
         argv = argv[:i] + tokens + argv[i + 2 :]
     return argv
 

@@ -7,15 +7,18 @@ straightens left multiplication by root vectors into that basis,
 reducing p-th powers through the p-character.  Left multiplication by
 each slot is one table over monomial ranks, and the u_J^- root vectors
 act through it alone, on the y^a factor.  These tables and the weight
-and drop shift of each monomial do not depend on the highest weight:
-they are built once per (algebra, p, u_J^- order, chi on the slots),
-shared by every module of that family and read-only.  The weight
-classes and grades are read from them.  Every other x or y generator
-acts through one column table over indices, filled whole in index order
-on the generator's first use and held by op_matrix; act_basis reads it.
+and drop shift of each monomial, stored mod p, do not depend on the
+highest weight: they are built once per (algebra, p, u_J^- order, chi
+on the slots), shared by every module of that family and read-only.
+The weight classes and grades are read from them.  Every other x or y
+generator acts through one column table over indices, filled whole in
+index order on the generator's first use and held by op_matrix;
+act_basis reads it.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
+Every module is read through dim, high, lam, grades(), drops() and
+act_basis(key, b); weights and drops are known only mod p.
 
 Irreducibility is decided exactly: any nonzero submodule contains a
 nonzero vector killed by all active raising operators (repeated raising
@@ -86,11 +89,11 @@ class TrivialLevi:
         self.dim = 1
         self.high = 0
 
-    def weight_int(self, b):
-        return self.lam
+    def grades(self):
+        return [self.lam] * self.dim
 
-    def drop_int(self, b):
-        return (0,) * len(self.lam)
+    def drops(self):
+        return [(0,) * len(self.lam)] * self.dim
 
     def act_basis(self, key, b):
         return {}
@@ -126,7 +129,7 @@ class ModuleBase:
         one ascending pass: each group in the order of its first index."""
         if self._classes is None:
             classes = {}
-            for b, (wt, kap) in enumerate(zip(self.grades(), self._drops())):
+            for b, (wt, kap) in enumerate(zip(self.grades(), self.drops())):
                 classes.setdefault(wt, {}).setdefault(kap, []).append(b)
             self._classes = classes
         return self._classes
@@ -137,7 +140,7 @@ class InducedModule(ModuleBase):
     indices.
 
     order fixes the u_J^- slots; levi is the finite base module, read
-    through the module interface, its weights and drops once into lists.
+    through the module interface, its grades and drops once into lists.
     A monomial y^a has rank a_0 p^(m-1) + ... + a_(m-1): mixed radix p,
     slot 0 most significant.  The basis vector y^a (tensor) l has index
     rank(a) * levi.dim + l, so the highest vector is levi.high.  All
@@ -158,9 +161,9 @@ class InducedModule(ModuleBase):
             active = tuple(range(1, self.rs.n + 1))
         self.active = tuple(active)
         self.high = levi.high
-        self.lam = levi.weight_int(levi.high)
-        self._lw = [levi.weight_int(l) for l in range(levi.dim)]
-        self._ld = [levi.drop_int(l) for l in range(levi.dim)]
+        self.lam = levi.lam
+        self._lw = levi.grades()
+        self._ld = levi.drops()
         self.slot = {g: k for k, g in enumerate(self.order)}
         self.chival = [chi.at_root(g) for g in self.order]
         self.stride = [self.p ** (self.m - 1 - k) for k in range(self.m)]
@@ -177,7 +180,7 @@ class InducedModule(ModuleBase):
 
     def _tables(self):
         """Per-rank tables: lead[r], the leading (first nonzero) slot of
-        r; mwt[r] and mdrop[r], the weight and drop shifts of y^r; and
+        r; mwt[r] and mdrop[r], the weight and drop shifts of y^r mod p; and
         lm[k][r], y_k . y^r as {rank: coeff}.
 
         For k past the leading slot j of r, y_k y_j y^rest = y_j (y_k
@@ -198,8 +201,8 @@ class InducedModule(ModuleBase):
         for r in range(1, n):
             j = lead[r]
             rest = r - stride[j]
-            mwt[r] = tuple(w - f for w, f in zip(mwt[rest], fund[j]))
-            mdrop[r] = tuple(d + g for d, g in zip(mdrop[rest], order[j]))
+            mwt[r] = tuple((w - f) % p for w, f in zip(mwt[rest], fund[j]))
+            mdrop[r] = tuple((d + g) % p for d, g in zip(mdrop[rest], order[j]))
             deg[r] = deg[rest] + 1
             by_deg[deg[r]].append(r)
         # brk[k][j]: [y_k, y_j] for j < k, as (slot, coeff) pairs
@@ -241,27 +244,21 @@ class InducedModule(ModuleBase):
             self._grades = self._sums_mod_p(self._mwt, self._lw)
         return self._grades
 
-    def _drops(self):
+    def drops(self):
+        """Drop mod p of each basis index: how far its vector lies below
+        the highest one, in simple-root coordinates."""
         return self._sums_mod_p(self._mdrop, self._ld)
 
     def _sums_mod_p(self, per_rank, per_levi):
         # per_rank[r] + per_levi[l] mod p at each index r * levi.dim + l,
-        # one shared tuple per distinct (per_rank[r] mod p, l)
+        # one shared tuple per distinct (per_rank[r], l): per_rank holds residues
         p = self.p
         ids = {}
-        rid = [ids.setdefault(tuple([v % p for v in w]), len(ids)) for w in per_rank]
+        rid = [ids.setdefault(w, len(ids)) for w in per_rank]
         sums = [
             [tuple([(a + b) % p for a, b in zip(k, w)]) for w in per_levi] for k in ids
         ]
         return [s for i in rid for s in sums[i]]
-
-    def weight_int(self, b):
-        r, l = divmod(b, self.levi.dim)
-        return tuple(w + s for w, s in zip(self._lw[l], self._mwt[r]))
-
-    def drop_int(self, b):
-        r, l = divmod(b, self.levi.dim)
-        return tuple(d + s for d, s in zip(self._ld[l], self._mdrop[r]))
 
     def act_basis(self, gkey, b):
         """Action of a basis generator on the basis vector of index b,
@@ -434,15 +431,9 @@ class QuotientModule(ModuleBase):
             self._grades = [grades[c] for c in self.keep]
         return self._grades
 
-    def _drops(self):
-        drops = self.parent._drops()
+    def drops(self):
+        drops = self.parent.drops()
         return [drops[c] for c in self.keep]
-
-    def weight_int(self, b):
-        return self.parent.weight_int(self.keep[b])
-
-    def drop_int(self, b):
-        return self.parent.drop_int(self.keep[b])
 
 
 # ---- builders ----

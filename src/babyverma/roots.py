@@ -1,5 +1,5 @@
-"""Root systems of types A/B/C/D: positive roots, pairings, Weyl and
-affine Weyl dot actions, alcove tests and the admissible Levi shapes.
+"""Root systems of types A/B/C/D: positive roots, pairings, the Weyl
+dot action, p-regular alcove weights and the admissible Levi shapes.
 
 Conventions. Roots are tuples of coefficients over the simple roots
 alpha_1..alpha_n. Weights are tuples of fundamental coordinates,
@@ -158,30 +158,12 @@ class RootSystem:
         c = mu[i - 1]
         return tuple(x - c * a for x, a in zip(mu, al))
 
-    def affine_reflect(self, mu, root, r, p):
-        """s_{root, rp}(mu) = mu - (<mu, root^vee> - rp) * root."""
-        c = self.pairing(mu, root) - r * p
-        f = self._fund[tuple(root)]
-        return tuple(x - c * a for x, a in zip(mu, f))
-
-    def dot_action(self, word, lam, p=None):
-        """Apply a reflection word to lam under the rho-shifted action.
-
-        Word items: an integer i means s_i; a pair (alpha, r) means the
-        affine reflection s_{alpha, rp} (alpha a root tuple or a simple
-        index, requires p). Items compose right to left.
-        """
+    def dot_action(self, word, lam):
+        """Apply a word of simple reflection indices to lam under the
+        rho-shifted action, composing right to left."""
         mu = tuple(x + 1 for x in lam)
-        for item in reversed(list(word)):
-            if isinstance(item, int):
-                mu = self.reflect(mu, item)
-            else:
-                alpha, r = item
-                if isinstance(alpha, int):
-                    alpha = self.simple(alpha)
-                if r != 0 and p is None:
-                    raise ValueError("affine reflection needs p")
-                mu = self.affine_reflect(mu, alpha, r, p if p else 0)
+        for i in reversed(list(word)):
+            mu = self.reflect(mu, i)
         return tuple(x - 1 for x in mu)
 
     def regular_alcove_weights(self, p):

@@ -9,7 +9,7 @@ modules.InducedModule; and radical_vectors_per_line, which closes every
 non-generating kernel line and then all of them together, for the
 running graded sum of modules._radical_vectors; and
 classes_per_index, which reads each basis index's weight and drop, for
-the weight classes and grades built from the per-rank tables; and
+the weight classes, grades and drops built from the per-rank tables; and
 annihilator_of_top_by_columns, which transposes the module's own xy
 column tables, for the family row tables of modules._annihilator_of_top;
 and row_tables_by_recursion, which fills x_i = A_i + lam_i B_i by the
@@ -22,10 +22,12 @@ weyl_dim and simple_dim_low_alcoves give dim L(lam) in closed form on
 the two lowest alcoves, and from root data alone, for the head dims of
 large modules.
 check_stable confirms that a subspace handed to QuotientModule is
-stable under the action.  The basis bookkeeping of an InducedModule
+stable under the action.  weight_int and drop_int give a basis index's
+integer weight and drop from its exponents and the root data, where the
+modules keep both only mod p.  The basis bookkeeping of an InducedModule
 (monomial ranks, index_of, vector_at, leftmul on exponent tuples),
-decompose_weight, in_first_dominant_alcove and is_p_regular are read
-only by tests, so they live here too.
+decompose_weight, in_first_dominant_alcove, is_p_regular and
+affine_dot_action are read only by tests, so they live here too.
 """
 
 import random
@@ -33,6 +35,7 @@ import random
 from babyverma.fplin import Echelon, GradedEchelon, apply_columns, span_closure
 from babyverma.modules import (
     QuotientModule,
+    TrivialLevi,
     _kernel_lines,
     _reversed_rows,
     _through,
@@ -307,7 +310,7 @@ class TupleStraightener:
         return out
 
     def weight_int(self, exps, l):
-        w = list(self.levi.weight_int(l))
+        w = list(weight_int(self.levi, l))
         for k, a in enumerate(exps):
             if a:
                 fk = self._fund[k]
@@ -316,7 +319,7 @@ class TupleStraightener:
         return tuple(w)
 
     def drop_int(self, exps, l):
-        d = list(self.levi.drop_int(l))
+        d = list(drop_int(self.levi, l))
         for k, a in enumerate(exps):
             if a:
                 g = self.order[k]
@@ -506,18 +509,49 @@ def check_stable(mod, sub):
                 raise AssertionError("subspace is not action-stable")
 
 
-def classes_per_index(mod):
-    """Weight classes and grades of mod from weight_int and drop_int of
-    each basis index in turn, as the weight_classes and grades methods
-    did before they read the per-rank tables."""
-    p = mod.p
-    classes, grades = {}, []
+def classes_per_index(mod, p):
+    """Weight classes, grades and drops mod p of mod from weight_int and
+    drop_int of each basis index in turn, as the weight_classes and
+    grades methods did before they read the per-rank tables."""
+    classes, grades, drops = {}, [], []
     for b in range(mod.dim):
-        wt = tuple(v % p for v in mod.weight_int(b))
-        kap = tuple(v % p for v in mod.drop_int(b))
+        wt = tuple(v % p for v in weight_int(mod, b))
+        kap = tuple(v % p for v in drop_int(mod, b))
         classes.setdefault(wt, {}).setdefault(kap, []).append(b)
         grades.append(wt)
-    return classes, grades
+        drops.append(kap)
+    return classes, grades, drops
+
+
+def weight_int(mod, b):
+    """Integer weight of basis index b: a TrivialLevi's lam; a quotient's
+    at its parent index keep[b]; on an induced module y^a (tensor) l, the
+    base's weight at l minus a_k times each slot root, in fundamental
+    coordinates."""
+    if isinstance(mod, TrivialLevi):
+        return mod.lam
+    if isinstance(mod, QuotientModule):
+        return weight_int(mod.parent, mod.keep[b])
+    r, l = divmod(b, mod.levi.dim)
+    w = list(weight_int(mod.levi, l))
+    for a, g in zip(monomial_exps(mod, r), mod.order):
+        w = [x - a * f for x, f in zip(w, mod.rs.fund(g))]
+    return tuple(w)
+
+
+def drop_int(mod, b):
+    """Integer drop of basis index b, in simple-root coordinates: zero
+    on a TrivialLevi; a quotient's at keep[b]; on y^a (tensor) l, the
+    base's drop at l plus a_k times each slot root."""
+    if isinstance(mod, TrivialLevi):
+        return (0,) * len(mod.lam)
+    if isinstance(mod, QuotientModule):
+        return drop_int(mod.parent, mod.keep[b])
+    r, l = divmod(b, mod.levi.dim)
+    d = list(drop_int(mod.levi, l))
+    for a, g in zip(monomial_exps(mod, r), mod.order):
+        d = [x + a * c for x, c in zip(d, g)]
+    return tuple(d)
 
 
 # ---- basis bookkeeping of an InducedModule, for tests ----
@@ -594,6 +628,25 @@ def is_p_regular(rs, lam, p):
     """Whether p divides no <lam + rho, a^vee> over the positive roots."""
     mu = tuple(x + 1 for x in lam)
     return all(rs.pairing(mu, g) % p != 0 for g in rs.roots)
+
+
+def affine_dot_action(rs, word, lam, p):
+    """RootSystem.dot_action with affine reflections: a word item is a
+    simple index i, meaning s_i, or a pair (alpha, r), meaning the affine
+    reflection s_(alpha, rp), mu -> mu - (<mu, alpha^vee> - rp) alpha on
+    mu = lam + rho (alpha a root tuple or a simple index).  Items compose
+    right to left."""
+    mu = tuple(x + 1 for x in lam)
+    for item in reversed(list(word)):
+        if isinstance(item, int):
+            mu = rs.reflect(mu, item)
+        else:
+            alpha, r = item
+            if isinstance(alpha, int):
+                alpha = rs.simple(alpha)
+            c = rs.pairing(mu, alpha) - r * p
+            mu = tuple(x - c * a for x, a in zip(mu, rs.fund(tuple(alpha))))
+    return tuple(x - 1 for x in mu)
 
 
 def decompose_weight(lam, p):

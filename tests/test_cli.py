@@ -295,19 +295,23 @@ def test_selftest(capsys):
 
 
 def test_config_round_trip(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    rc = main(
-        ["check", "--type", "B", "--rank", "2", "--p", "5", "--I", "2",
-         "--lambda", "0,1", "--save-config", str(cfg)]
-    )
-    out1 = capsys.readouterr().out
-    assert rc == 0
-    text = cfg.read_text()
-    assert "type=B" in text and "lambda=0,1" in text
-    rc = main(["check", "--config", str(cfg)])
-    out2 = capsys.readouterr().out
-    assert rc == 0
-    assert _stable(out1) == _stable(out2)
+    cases = [
+        (["--type", "B", "--rank", "2", "--p", "5", "--I", "2", "--lambda", "0,1"],
+         "lambda=0,1", 0),
+        # a value starting with "-" must not be read back as an option
+        (["--type", "A", "--rank", "2", "--p", "5", "--lambda=-1,0"], "lambda=-1,0", 1),
+    ]
+    for k, (argv, line, code) in enumerate(cases):
+        cfg = tmp_path / ("run%d.cfg" % k)
+        rc = main(["check"] + argv + ["--save-config", str(cfg)])
+        out1 = capsys.readouterr().out
+        assert rc == code
+        text = cfg.read_text()
+        assert "type=" + argv[1] in text and line in text
+        rc = main(["check", "--config", str(cfg)])
+        out2 = capsys.readouterr().out
+        assert rc == code
+        assert _stable(out1) == _stable(out2)
 
 
 def test_config_flags_after_file_win(tmp_path, capsys):

@@ -12,6 +12,7 @@ from _oracles import (
     annihilator_of_top_by_columns,
     check_stable,
     classes_per_index,
+    drop_int,
     index_of,
     norton_verdict,
     radical_vectors_per_line,
@@ -20,6 +21,7 @@ from _oracles import (
     sl2_matrices,
     span_closure_depth_first,
     vector_at,
+    weight_int,
     weyl_dim,
 )
 from babyverma import modules
@@ -99,7 +101,7 @@ def test_rank_one_head_eigenvalues():
     mod = build_baby_verma(A1, PChar(5, []), (1,))
     hd = head(mod)
     assert hd.dim == 2
-    eigs = sorted(hd.weight_int(b)[0] % 5 for b in range(hd.dim))
+    eigs = sorted(weight_int(hd, b)[0] % 5 for b in range(hd.dim))
     assert eigs == [1, 4]
 
 
@@ -145,8 +147,8 @@ def test_levi_head_weights_frozen():
     levi = build_levi_simple(A2, 5, (1,), (0, 1))
     assert levi.dim == 2
     assert levi.high == 0
-    assert [levi.weight_int(l) for l in range(2)] == [(0, 1), (1, -1)]
-    assert [levi.drop_int(l) for l in range(2)] == [(0, 0), (0, 1)]
+    assert [weight_int(levi, l) for l in range(2)] == [(0, 1), (1, -1)]
+    assert [drop_int(levi, l) for l in range(2)] == [(0, 0), (0, 1)]
 
 
 def test_act_on_highest_vector():
@@ -181,11 +183,11 @@ def test_action_respects_grading():
         for kind, sign in (("x", 1), ("y", -1)):
             op = mod.op_matrix((kind, g))
             for b, col in op.items():
-                wb = mod.weight_int(b)
-                db = mod.drop_int(b)
+                wb = weight_int(mod, b)
+                db = drop_int(mod, b)
                 for b2 in col:
-                    w2 = mod.weight_int(b2)
-                    d2 = mod.drop_int(b2)
+                    w2 = weight_int(mod, b2)
+                    d2 = drop_int(mod, b2)
                     assert all(
                         (w2[t] - wb[t] - sign * rs.fund(g)[t]) % p == 0
                         for t in range(rs.n)
@@ -921,12 +923,23 @@ def test_classes_and_grades_match_the_per_index_reading():
         _levi_verma(C3, 5, (1,), (0, 1, 0)),
         parabolic.levi,
         head(build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))),
+        TrivialLevi((3, 7, 1)),
     ]
     assert isinstance(mods[3], QuotientModule) and isinstance(mods[4], QuotientModule)
+    p = 5
     for mod in mods:
-        classes, grades = classes_per_index(mod)
+        classes, grades, drops = classes_per_index(mod, p)
+        assert len(mod.grades()) == len(mod.drops()) == mod.dim
+        assert mod.drops() == drops
+        if isinstance(mod, TrivialLevi):
+            # its weight may stay unreduced: the induced module reduces it
+            assert [tuple(v % p for v in w) for w in mod.grades()] == grades
+            continue
         assert _ordered(mod.weight_classes()) == _ordered(classes)
         assert mod.grades() == grades
+    # the family's per-rank shifts are stored as residues
+    for mod in mods[:3]:
+        assert all(0 <= v < p for t in (mod._mwt, mod._mdrop) for w in t for v in w)
 
 
 # ---- the transposed radical, read from the family's row tables ----

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from _oracles import decompose_weight, in_first_dominant_alcove, is_p_regular
+from _oracles import (
+    affine_dot_action,
+    decompose_weight,
+    in_first_dominant_alcove,
+    is_p_regular,
+)
 from babyverma.roots import LeviDatum, RootSystem, root_label, shape_check
 
 
@@ -125,7 +130,7 @@ def test_dot_action_affine():
     # shift (3-5)*(1,1) in fundamental coords of a1+a2
     R = rs("A", 2)
     lam = (0, 1)
-    out = R.dot_action([((1, 1), 1)], lam, p=5)
+    out = affine_dot_action(R, [((1, 1), 1)], lam, 5)
     mu = tuple(x + 1 for x in out)
     assert R.pairing(mu, (1, 1)) == 2 * 5 - 3
 
