@@ -33,10 +33,18 @@ from .pbw import fix_order
 from .roots import RootSystem, root_label
 
 
-def _parse_int_list(text):
+def _int(token, option):
+    """int(token), or a ValueError that names the option and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("%s: %r is not an integer" % (option, token)) from None
+
+
+def _parse_int_list(text, option):
     if text is None or text.strip() == "":
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_int(x, option) for x in text.split(","))
 
 
 def _parse_chi(text):
@@ -44,8 +52,10 @@ def _parse_chi(text):
         return None
     out = {}
     for part in text.split(","):
-        k, _, v = part.partition("=")
-        out[int(k)] = int(v)
+        k, eq, v = part.partition("=")
+        if not eq:
+            raise ValueError("--chi: %r is not of the form i=c" % part)
+        out[_int(k, "--chi")] = _int(v, "--chi")
     return out
 
 
@@ -54,9 +64,9 @@ def _parse_root(label, rank):
     c = [0] * rank
     for term in label.split("+"):
         head, _, idx = term.strip().partition("a")
-        if not idx or not 1 <= int(idx) <= rank:
-            raise ValueError("bad root label %r" % label)
-        c[int(idx) - 1] += int(head) if head else 1
+        if not idx or not 1 <= _int(idx, "--gen") <= rank:
+            raise ValueError("--gen: bad root label %r" % label)
+        c[int(idx) - 1] += _int(head, "--gen") if head else 1
     return tuple(c)
 
 
@@ -66,9 +76,9 @@ def _resolve_lambda(args, rank):
     if (lam is None) == (lam_rho is None):
         raise ValueError("give exactly one of --lambda and --lambda-rho")
     if lam is not None:
-        out = _parse_int_list(lam)
+        out = _parse_int_list(lam, "--lambda")
     else:
-        out = tuple(x - 1 for x in _parse_int_list(lam_rho))
+        out = tuple(x - 1 for x in _parse_int_list(lam_rho, "--lambda-rho"))
     if len(out) != rank:
         raise ValueError("weight needs %d coordinates" % rank)
     return out
@@ -129,7 +139,7 @@ def _module_from_args(args):
     head when --I is nonempty, else the baby Verma at chi = 0."""
     campaigns.check_prime(args.type, args.p)
     alg = _algebra_from_args(args)
-    I = _parse_int_list(args.I)
+    I = _parse_int_list(args.I, "--I")
     lam = _resolve_lambda(args, alg.rs.n)
     if I:
         chi = make_pchar(alg, args.p, I, _parse_chi(args.chi))
@@ -153,7 +163,7 @@ def cmd_check(args):
     _check_writable(args.json)
     t0 = time.monotonic()
     mod = _module_from_args(args)
-    I = _parse_int_list(args.I)
+    I = _parse_int_list(args.I, "--I")
     lam = mod.lam
     if args.type == "A" and (args.rank + 1) % args.p == 0:
         print(
@@ -214,7 +224,7 @@ def cmd_campaign(args):
             args.type,
             args.rank,
             args.p,
-            _parse_int_list(args.I),
+            _parse_int_list(args.I, "--I"),
             cap=args.cap,
             lines_cap=args.lines_cap,
             workers=args.workers,
@@ -233,7 +243,7 @@ def cmd_campaign(args):
         )
         report = fn(
             args.p,
-            _parse_int_list(args.r),
+            _parse_int_list(args.r, "--r"),
             cap=args.cap,
             lines_cap=args.lines_cap,
             build=not args.no_build,
@@ -258,7 +268,8 @@ def cmd_dump(args):
             print(line)
         return 0
     if args.sub == "order":
-        for g in fix_order(RootSystem(args.type, args.rank), _parse_int_list(args.I)):
+        I = _parse_int_list(args.I, "--I")
+        for g in fix_order(RootSystem(args.type, args.rank), I):
             print(root_label(g))
         return 0
     mod = _module_from_args(args)
@@ -267,7 +278,10 @@ def cmd_dump(args):
         kind, _, label = gen.partition(":")
     else:
         kind, label = gen[:1], "a" + gen[1:]
-    key = ("h", int(gen[1:])) if kind == "h" else (kind, _parse_root(label, mod.rs.n))
+    if kind == "h":
+        key = ("h", _int(gen[1:], "--gen"))
+    else:
+        key = (kind, _parse_root(label, mod.rs.n))
     if key not in mod.alg.basis:
         raise ValueError(
             "generator %r is not a basis element of %s%d" % (gen, args.type, args.rank)

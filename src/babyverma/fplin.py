@@ -45,11 +45,26 @@ class Echelon:
     rows maps pivot column -> row vector; every row has coefficient 1 at
     its pivot and 0 at every other pivot, so reduce() lands in canonical
     complement coordinates.
+
+    An Echelon made by graded(p, grade) holds vectors each supported on
+    a single grade key (grade maps each index to its key).  An insert
+    then back-substitutes only into the rows of its own key: the
+    other rows are zero on its support, so rows stays the same RREF as
+    for the same vectors inserted flat.
     """
 
     def __init__(self, p):
         self.p = p
         self.rows = {}
+        self.grade = None
+
+    @classmethod
+    def graded(cls, p, grade):
+        """An empty Echelon for vectors homogeneous under grade (flat if
+        grade is None).  parts maps each grade key to its rows."""
+        ech = cls(p)
+        ech.grade, ech.parts = grade, {}
+        return ech
 
     def rank(self):
         return len(self.rows)
@@ -78,11 +93,14 @@ class Echelon:
         cinv = fp_inv(v[j], p)
         if cinv != 1:
             v = {k: (cinv * c) % p for k, c in v.items()}
-        for row in self.rows.values():
+        rows = self.rows if self.grade is None else self.parts.get(self.grade[j])
+        if rows is None:
+            rows = self.parts[self.grade[j]] = {}
+        for row in rows.values():
             c = row.get(j)
             if c:
                 addmul(row, v, -c, p)
-        self.rows[j] = v
+        rows[j] = self.rows[j] = v
         return v
 
     def contains(self, vec):
@@ -125,76 +143,36 @@ def joint_kernel(ops, dim, p):
     return nullspace(eqs.values(), dim, p)
 
 
-class GradedEchelon:
-    """Row space of vectors each supported on a single grade key, kept
-    as one Echelon per key, so an insert reduces only against the rows
-    of its own key.  grade maps each index to its key; grade=None keeps
-    one Echelon for every vector."""
-
-    def __init__(self, p, grade=None):
-        self.p = p
-        self.grade = grade
-        self.parts = {}
-
-    def part(self, vec):
-        """The Echelon of the nonzero vec's key, made on first use."""
-        key = None if self.grade is None else self.grade[next(iter(vec))]
-        ech = self.parts.get(key)
-        if ech is None:
-            ech = self.parts[key] = Echelon(self.p)
-        return ech
-
-    def insert(self, vec):
-        return self.part(vec).insert(vec)
-
-    def contains(self, vec):
-        return not vec or self.part(vec).contains(vec)
-
-    def echelon(self):
-        """The whole row space as one Echelon.  The supports of the
-        parts are disjoint and RREF is unique, so this equals the
-        Echelon of the same rows inserted flat."""
-        if len(self.parts) == 1:
-            return next(iter(self.parts.values()))
-        out = Echelon(self.p)
-        for ech in self.parts.values():
-            out.rows.update(ech.rows)
-        return out
-
-
 def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
     """Smallest subspace containing seeds and stable under the column-form
-    operators. Early exit when the rank hits dim.
+    operators, as the Echelon built on the way. Early exit when the rank
+    hits dim.
 
     grade, if given, maps each index to a key such that every operator
     sends a vector supported on one key to a vector supported on one key.
-    The closure then keeps a GradedEchelon; every seed must be supported
-    on a single key (else ValueError).  The result equals the flat one.
-    stop, if given, is an index: the closure returns as soon as e_stop
-    lies in it.
+    The closure then builds Echelon.graded(p, grade); every seed must be
+    supported on a single key (else ValueError).  The result equals the
+    flat one.  stop, if given, is an index: the closure returns as soon
+    as e_stop lies in it.
 
     The queue is first in, first out: rows go in by their distance from
     the seeds, which keeps the reduced rows sparse and each insert cheap.
     A closure run to the end gives the same rows in any order, RREF
     being unique, and one stopped at e_stop stops in any order."""
-    space = GradedEchelon(p, grade)
+    space = Echelon.graded(p, grade)
     target = None if stop is None else {stop: 1}
     queue = deque()
-    rank = 0
 
     def insert(v):
         # True once e_stop lies in the span; in RREF that is when its
-        # row is exactly e_stop, and only v's own part has changed
-        nonlocal rank
-        if grade is not None and not v:
+        # row is exactly e_stop
+        if not v:
             return False
-        ech = space.part(v)
-        r = ech.insert(v)
+        r = space.insert(v)
         if r is None:
             return False
         queue.append(r)
-        rank += 1
-        return target is not None and ech.rows.get(stop) == target
+        return target is not None and space.rows.get(stop) == target
 
     done = False
     for s in seeds:
@@ -202,11 +180,11 @@ def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):
             raise ValueError("seed is not homogeneous for the grading")
         done = insert(s) or done
     while queue and not done:
-        if dim is not None and rank >= dim:
+        if dim is not None and space.rank() >= dim:
             break
         v = queue.popleft()
         for op in ops:
             if insert(apply_columns(op, v, p)):
                 done = True
                 break
-    return space.echelon()
+    return space

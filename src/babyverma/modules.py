@@ -29,11 +29,12 @@ joint kernel of the raising operators generates.  Line counts are
 capped; hitting the cap raises instead of guessing.
 
 Each generation test is a span closure graded by weight mod p: one
-echelon per weight class, so an insert reduces only against rows of its
-own weight.  Every module built here is cyclic on its highest vector,
-so the closure stops as soon as that vector is reached; only a line
-that fails to generate is closed to full rank.  This decides the
-33 614-dimensional A3 p=7 I={1,2} lambda=(1,1,1) module in seconds.
+echelon whose rows each lie in one weight class, so a new row is
+back-substituted only into the rows of its own weight.  Every module
+built here is cyclic on its highest vector, so the closure stops as
+soon as that vector is reached; only a line that fails to generate is
+closed to full rank.  This decides the 33 614-dimensional A3 p=7
+I={1,2} lambda=(1,1,1) module in seconds.
 
 The radical takes one of two paths, by what the module is.  With a
 one-dimensional base, chi zero on every u_J^- slot and every active
@@ -56,7 +57,7 @@ module outside that premise.
 import itertools
 import random
 
-from .fplin import Echelon, GradedEchelon, addmul, joint_kernel, span_closure
+from .fplin import Echelon, addmul, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import fix_order
 from .roots import LeviDatum
@@ -620,7 +621,7 @@ def radical(mod, cap=LINES_CAP):
     paths give the same reduced row form."""
     if isinstance(mod, InducedModule) and mod.top_rows() is not None:
         return _annihilator_of_top(mod)
-    return _radical_vectors(mod, cap).echelon()
+    return _radical_vectors(mod, cap)
 
 
 def _annihilator_of_top(mod):
@@ -657,7 +658,7 @@ def _radical_vectors(mod, cap):
     # e_high (checked below).
     _, lines = _kernel_lines(mod, cap)
     top = {mod.high: 1}
-    bad = GradedEchelon(mod.p, mod.grades())
+    bad = Echelon.graded(mod.p, mod.grades())
     for _, v in lines:
         if bad.contains(v):
             continue
@@ -666,17 +667,16 @@ def _radical_vectors(mod, cap):
             continue
         for row in sub.basis():
             bad.insert(row)
-    sub = bad.echelon()
-    if mod.high in sub.rows:
+    if mod.high in bad.rows:
         # the sum holds e_high, or its quotient would lose the highest
         # vector: either way the head is not simple
         raise HeadNotSimple(
             "head is not simple: non-generating lines reach the top, so the "
             "module is outside the simple-head premise of radical() and head()"
         )
-    if sub.rows:
-        q = QuotientModule(mod, sub)
-        for v in _radical_vectors(q, cap).echelon().basis():
+    if bad.rows:
+        q = QuotientModule(mod, bad)
+        for v in _radical_vectors(q, cap).basis():
             bad.insert(q.lift(v))
     return bad
 

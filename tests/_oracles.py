@@ -32,7 +32,7 @@ affine_dot_action are read only by tests, so they live here too.
 
 import random
 
-from babyverma.fplin import Echelon, GradedEchelon, apply_columns, span_closure
+from babyverma.fplin import Echelon, apply_columns, span_closure
 from babyverma.modules import (
     QuotientModule,
     TrivialLevi,
@@ -393,24 +393,20 @@ def span_closure_depth_first(seeds, ops, p, dim=None, grade=None, stop=None):
     """fplin.span_closure with its queue popped last in, first out: the
     depth-first order the closure ran in before its queue became first
     in, first out.  A closure run to the end has the same rows."""
-    space = GradedEchelon(p, grade)
+    space = Echelon.graded(p, grade)
     target = None if stop is None else {stop: 1}
     queue = []
-    rank = 0
 
     def insert(v):
         # True once e_stop lies in the span; in RREF that is when its
-        # row is exactly e_stop, and only v's own part has changed
-        nonlocal rank
-        if grade is not None and not v:
+        # row is exactly e_stop
+        if not v:
             return False
-        ech = space.part(v)
-        r = ech.insert(v)
+        r = space.insert(v)
         if r is None:
             return False
         queue.append(r)
-        rank += 1
-        return target is not None and ech.rows.get(stop) == target
+        return target is not None and space.rows.get(stop) == target
 
     done = False
     for s in seeds:
@@ -418,14 +414,14 @@ def span_closure_depth_first(seeds, ops, p, dim=None, grade=None, stop=None):
             raise ValueError("seed is not homogeneous for the grading")
         done = insert(s) or done
     while queue and not done:
-        if dim is not None and rank >= dim:
+        if dim is not None and space.rank() >= dim:
             break
         v = queue.pop()
         for op in ops:
             if insert(apply_columns(op, v, p)):
                 done = True
                 break
-    return space.echelon()
+    return space
 
 
 def annihilator_of_top_by_columns(mod, closure=span_closure):

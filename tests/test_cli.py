@@ -268,7 +268,7 @@ def test_dump_matrix_rejects_bad_generator(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("gen", ["x:a9", "h9", "x:a0", "x9", "y0", "x:2a1"])
+@pytest.mark.parametrize("gen", ["x:a9", "h9", "x:a0", "x9", "y0", "x:2a1", "x:ba1", "hx"])
 def test_dump_matrix_rejects_non_basis_generator(gen, capsys):
     rc = main(
         ["dump", "matrix", "--type", "A", "--rank", "2", "--p", "3", "--I", "1",
@@ -276,6 +276,27 @@ def test_dump_matrix_rejects_non_basis_generator(gen, capsys):
     )
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+CHECK_A2 = ["check", "--type", "A", "--rank", "2", "--p", "5", "--I", "1", "--lambda", "0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, said",
+    [
+        (CHECK_A2 + ["--chi", "1"], "--chi: '1'"),
+        (CHECK_A2 + ["--chi", "a=1"], "--chi: 'a'"),
+        (CHECK_A2 + ["--lambda", "0,x"], "--lambda: 'x'"),
+        (CHECK_A2 + ["--I", "1,x"], "--I: 'x'"),
+        (["campaign", "subregular-A", "--p", "5", "--r", "1,x"], "--r: 'x'"),
+    ],
+)
+def test_bad_integer_names_its_option_and_token(argv, said, capsys):
+    # the last of a repeated option wins, so the bad value replaces the good
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: " + said)
 
 
 def test_dump_matrix_chi_needs_levi(capsys):

@@ -197,3 +197,78 @@ def test_span_closure_graded_rows_equal_flat():
         assert graded.pivots() == flat.pivots()
         proper += 0 < flat.rank() < n
     assert proper > 0
+
+
+def test_graded_echelon_equals_flat_on_random_homogeneous_vectors():
+    # zero vectors, repeats and vectors already in the span ride along
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7):
+        for _ in range(20):
+            n, keys = rng.randrange(4, 16), rng.randrange(1, 5)
+            grade = [rng.randrange(keys) for _ in range(n)]
+            graded, flat = Echelon.graded(p, grade), Echelon(p)
+            seen = []
+            for _ in range(3 * n):
+                roll = rng.random()
+                if roll < 0.1:
+                    v = {}
+                elif roll < 0.2 and seen:
+                    v = dict(rng.choice(seen))
+                elif roll < 0.3 and flat.rows:
+                    v = {}
+                    for row in flat.rows.values():
+                        addmul(v, row, rng.randrange(p), p)
+                else:
+                    key = rng.randrange(keys)
+                    v = {
+                        i: rng.randrange(1, p)
+                        for i in range(n)
+                        if grade[i] == key and rng.random() < 0.5
+                    }
+                seen.append(v)
+                assert (graded.insert(v) is None) == (flat.insert(v) is None)
+                assert graded.rows == flat.rows
+            for v in seen:
+                assert graded.contains(v) and flat.contains(v)
+            probe = {i: rng.randrange(1, p) for i in range(n) if grade[i] == 0}
+            assert graded.contains(probe) == flat.contains(probe)
+
+
+def test_graded_closure_through_a_subclass_with_the_plain_signatures(monkeypatch):
+    # a subclass that defines only __init__(self, p) and insert(self,
+    # vec), as a tracer's counting Echelon does, must serve the graded
+    # closure and see one insert per nonzero image
+    import babyverma.fplin as fplin
+
+    calls = []
+
+    class Counting(fplin.Echelon):
+        def __init__(self, p):
+            super().__init__(p)
+
+        def insert(self, vec):
+            calls.append(dict(vec))
+            return super().insert(vec)
+
+    monkeypatch.setattr(fplin, "Echelon", Counting)
+    p, n = 5, 12
+    grade = [i % 3 for i in range(n)]
+    # shift by 3 (same key) and by 1 (next key); both kill the top indices
+    ops = [
+        {i: {i + 3: 1} for i in range(n - 3)},
+        {i: {i + 1: 2} for i in range(n - 1)},
+    ]
+    images = []
+
+    def recording(op, v, q):
+        out = apply_columns(op, v, q)
+        images.append(out)
+        return out
+
+    monkeypatch.setattr(fplin, "apply_columns", recording)
+    ech = fplin.span_closure([{0: 1}], ops, p, grade=grade)
+    assert isinstance(ech, Counting)
+    assert ech.rank() == n
+    nonzero = [v for v in images if v]
+    assert len(nonzero) < len(images)
+    assert calls == [{0: 1}] + nonzero
