@@ -22,6 +22,7 @@ from .chevalley import ChevalleyAlgebra, PChar, make_pchar
 from .modules import (
     DIM_CAP,
     LINES_CAP,
+    AdjointModule,
     CapExceeded,
     build_baby_verma,
     build_parabolic_baby_verma,
@@ -47,6 +48,15 @@ def _parse_int_list(text, option):
     return tuple(_int(x, option) for x in text.split(","))
 
 
+def _parse_I(text):
+    """--I as simple indices, each given once."""
+    I = _parse_int_list(text, "--I")
+    for k, i in enumerate(I):
+        if i in I[:k]:
+            raise ValueError("--I: index %d is given twice" % i)
+    return I
+
+
 def _parse_chi(text):
     if text is None or text.strip() == "":
         return None
@@ -55,7 +65,10 @@ def _parse_chi(text):
         k, eq, v = part.partition("=")
         if not eq:
             raise ValueError("--chi: %r is not of the form i=c" % part)
-        out[_int(k, "--chi")] = _int(v, "--chi")
+        i = _int(k, "--chi")
+        if i in out:
+            raise ValueError("--chi: index %d is given twice" % i)
+        out[i] = _int(v, "--chi")
     return out
 
 
@@ -139,7 +152,7 @@ def _module_from_args(args):
     head when --I is nonempty, else the baby Verma at chi = 0."""
     campaigns.check_prime(args.type, args.p)
     alg = _algebra_from_args(args)
-    I = _parse_int_list(args.I, "--I")
+    I = _parse_I(args.I)
     lam = _resolve_lambda(args, alg.rs.n)
     if I:
         chi = make_pchar(alg, args.p, I, _parse_chi(args.chi))
@@ -163,7 +176,7 @@ def cmd_check(args):
     _check_writable(args.json)
     t0 = time.monotonic()
     mod = _module_from_args(args)
-    I = _parse_int_list(args.I, "--I")
+    I = _parse_I(args.I)
     lam = mod.lam
     if args.type == "A" and (args.rank + 1) % args.p == 0:
         print(
@@ -220,11 +233,13 @@ def _row_line(sub, row):
 def cmd_campaign(args):
     _check_writable(getattr(args, "csv", None), args.json)
     if args.sub == "main-theorem":
+        if args.workers < 1:
+            raise ValueError("--workers: %d is not a positive count" % args.workers)
         report = campaigns.verify_main_theorem(
             args.type,
             args.rank,
             args.p,
-            _parse_int_list(args.I, "--I"),
+            _parse_I(args.I),
             cap=args.cap,
             lines_cap=args.lines_cap,
             workers=args.workers,
@@ -268,7 +283,7 @@ def cmd_dump(args):
             print(line)
         return 0
     if args.sub == "order":
-        I = _parse_int_list(args.I, "--I")
+        I = _parse_I(args.I)
         for g in fix_order(RootSystem(args.type, args.rank), I):
             print(root_label(g))
         return 0
@@ -307,9 +322,9 @@ def cmd_selftest(args):
 
     a2 = ChevalleyAlgebra(RootSystem("A", 2))
     b2 = ChevalleyAlgebra(RootSystem("B", 2))
-    step("jacobi A2", a2.verify_jacobi)
-    step("jacobi B2", b2.verify_jacobi)
-    step("restricted identities B2 p=5", lambda: b2.verify_restricted(5))
+    step("jacobi A2", lambda: verify_commutators(AdjointModule(a2, 13)))
+    step("jacobi B2", lambda: verify_commutators(AdjointModule(b2, 13)))
+    step("restricted identities B2 p=5", lambda: verify_frobenius(AdjointModule(b2, 5)))
 
     step("negative controls", lambda: campaigns.negative_controls()["passed"])
 

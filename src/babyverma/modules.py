@@ -693,6 +693,33 @@ SAMPLES = 10000
 SAMPLE_LIMIT = 1500
 
 
+class AdjointModule:
+    """The algebra acting on itself by the bracket over F_p, on the basis
+    in alg.basis order.  On it verify_frobenius is the restricted
+    identity ad(b)^p = ad(b^[p]) at chi = 0, and verify_commutators is
+    the Jacobi identity mod p.  At p >= 13 the latter is exact over Z:
+    each coefficient of a.(b.c), b.(a.c) and [a,b].c is a product of two
+    structure constants, |N| <= 2, or a pairing -<delta, gamma^vee> with
+    absolute value at most 2, so at most 4 in absolute value, and their
+    difference, at most 12, vanishes mod p only when it is 0.  The check
+    covers the pairs a < b in basis order and every c; the table is
+    antisymmetric, so these give every Jacobi triple."""
+
+    def __init__(self, alg, p):
+        self.alg = alg
+        self.p = p
+        self.chi = PChar(p, ())
+        self.dim = len(alg.basis)
+        self._pos = {k: i for i, k in enumerate(alg.basis)}
+
+    def act_basis(self, key, b):
+        return {
+            self._pos[k]: c % self.p
+            for k, c in self.alg.bracket(key, self.alg.basis[b]).items()
+            if c % self.p
+        }
+
+
 def _apply(mod, key, vec):
     """Image of vec under one basis generator, through act_basis."""
     out = {}

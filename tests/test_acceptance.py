@@ -79,7 +79,9 @@ def test_regular_nilpotent_transversal():
     # weights mod p, every module is irreducible of the full dimension
     # p^N, whenever the invariant trace form is non-degenerate
     ok = True
-    for typ, rank, p in (("A", 2, 5), ("B", 2, 3)):
+    for typ, rank, p in (
+        ("A", 2, 5), ("B", 2, 3), ("C", 2, 3), ("B", 2, 5), ("C", 2, 5), ("A", 3, 3)
+    ):
         alg = _alg(typ, rank)
         chi = make_pchar(alg, p, tuple(range(1, rank + 1)))
         full = p ** len(alg.rs.roots)

@@ -279,6 +279,7 @@ def test_dump_matrix_rejects_non_basis_generator(gen, capsys):
 
 
 CHECK_A2 = ["check", "--type", "A", "--rank", "2", "--p", "5", "--I", "1", "--lambda", "0,0"]
+MAIN_A2 = ["campaign", "main-theorem", "--type", "A", "--rank", "2", "--p", "5"]
 
 
 @pytest.mark.parametrize(
@@ -289,6 +290,14 @@ CHECK_A2 = ["check", "--type", "A", "--rank", "2", "--p", "5", "--I", "1", "--la
         (CHECK_A2 + ["--lambda", "0,x"], "--lambda: 'x'"),
         (CHECK_A2 + ["--I", "1,x"], "--I: 'x'"),
         (["campaign", "subregular-A", "--p", "5", "--r", "1,x"], "--r: 'x'"),
+        (["check", "--type", "A", "--rank", "3", "--p", "3", "--I", "1,1",
+          "--chi", "1=1,1=2", "--lambda", "0,1,0"], "--I: index 1"),
+        (["check", "--type", "A", "--rank", "3", "--p", "3", "--I", "1",
+          "--chi", "1=1,1=2", "--lambda", "0,1,0"], "--chi: index 1"),
+        (MAIN_A2 + ["--I", "1,1"], "--I: index 1"),
+        (["dump", "order", "--type", "A", "--rank", "3", "--I", "2,1,2"], "--I: index 2"),
+        (MAIN_A2 + ["--I", "1", "--workers", "0"], "--workers: 0"),
+        (MAIN_A2 + ["--I", "1", "--workers", "-3"], "--workers: -3"),
     ],
 )
 def test_bad_integer_names_its_option_and_token(argv, said, capsys):
