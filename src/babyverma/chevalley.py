@@ -46,7 +46,7 @@ class ChevalleyAlgebra:
         self._zero = (0,) * rs.n
         self._all_roots = set(rs.roots) | {_neg(g) for g in rs.roots}
         self._nmemo = {}
-        self.module_tables = {}  # InducedModule per-rank tables and top_rows, by family
+        self.module_tables = {}  # per family: InducedModule rank tables, top_rows, _levi_rows
         self._base_pair = self._pick_base_pairs()
         self.basis = (
             tuple(("x", g) for g in rs.roots)

@@ -11,9 +11,11 @@ and drop shift of each monomial, stored mod p, do not depend on the
 highest weight: they are built once per (algebra, p, u_J^- order, chi
 on the slots), shared by every module of that family and read-only.
 The weight classes and grades are read from them.  Every other x or y
-generator acts through one column table over indices, filled whole in
-index order on the generator's first use and held by op_matrix;
-act_basis reads it.
+generator g acts through one column table over indices, made whole on
+g's first use and held by op_matrix; act_basis reads it.  A Levi root
+vector g normalizes u_J^-, so g (y^a l) = [g, y^a] l + y^a (g l): over a
+base of dim > 1 the table joins g on the base to the family's packed
+rows of [g, .], g's table over TrivialLevi(0).  Others are straightened.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
@@ -56,6 +58,7 @@ module outside that premise.
 
 import itertools
 import random
+from array import array
 
 from .fplin import Echelon, addmul, joint_kernel, span_closure
 from .chevalley import PChar
@@ -283,18 +286,49 @@ class InducedModule(ModuleBase):
         return (self.op_matrix(gkey) if cols is None else cols).get(b) or {}
 
     def _fill(self, gkey):
-        # x and non-slot y keys: with j the leading slot of y^a = y_j y^rest,
+        typ, g = gkey
+        if typ == "h" or typ == "y" and g in self.slot:
+            return super()._fill(gkey)
+        if (ldim := self.levi.dim) == 1 or g in self.slot:
+            return self._straighten(gkey)
+        # a Levi root vector: column (r, l) is row r of the family's [g, .]
+        # at l plus g l at r, on disjoint supports
+        off, ranks, coeffs = self._levi_rows(gkey)
+        base = [tuple(self.levi.act_basis(gkey, l).items()) for l in range(ldim)]
+        cols = {}
+        for b, lo, hi in zip(range(0, self.dim, ldim), off, off[1:]):
+            row = [(r2 * ldim, c) for r2, c in zip(ranks[lo:hi], coeffs[lo:hi])]
+            for l, gl in enumerate(base):
+                col = {r2 + l: c for r2, c in row}
+                for l2, c in gl:
+                    col[b + l2] = c
+                if col:
+                    cols[b + l] = col
+        return cols
+
+    def _levi_rows(self, gkey):
+        # [g, .] on u_chi(u_J^-): g's straightened table over TrivialLevi(0),
+        # as CSR arrays (offsets, ranks, coefficients), one per family and key
+        shared, key = self.alg.module_tables, (self.p, self.order, tuple(self.chival), gkey)
+        if key not in shared:
+            zero = InducedModule(self.alg, self.chi, self.order, TrivialLevi((0,) * self.rs.n))
+            tab = zero._straighten(gkey)
+            cols = [tab.get(r, {}) for r in range(zero.dim)]
+            off = array("i", itertools.accumulate(map(len, cols), initial=0))
+            ranks = array("i", [r2 for col in cols for r2 in col])
+            shared[key] = off, ranks, array("i", [c for col in cols for c in col.values()])
+        return shared[key]
+
+    def _straighten(self, gkey):
+        # an x or non-slot y key: with j the leading slot of y^a = y_j y^rest,
         #   g y_j y^rest l = y_j (g y^rest l) + [g, y_j] y^rest l,
         # and rest(b) < b, so filling in index order reads only filled
         # columns.  A bracket key's table is made on its first read, through
         # op_matrix, and never reads g's own: [x_a, y_c] is h, a y key or an
         # x key of lower height, and [y_d, y_c] a y key of greater height.
-        typ, g = gkey
-        if typ == "h" or typ == "y" and g in self.slot:
-            return super()._fill(gkey)
         p, ldim, lead, stride = self.p, self.levi.dim, self._lead, self.stride
         cols = {}
-        if g not in self.slot:  # an x key of a u_J root kills the base
+        if gkey[1] not in self.slot:  # an x key of a u_J root kills the base
             cols = {l: col for l in range(ldim) if (col := self.levi.act_basis(gkey, l))}
         brk = [tuple(self.alg.bracket(gkey, ("y", c)).items()) for c in self.order]
         for b in range(ldim, self.dim):

@@ -562,7 +562,8 @@ def test_bracket_keys_come_before_the_table_they_fill(alg):
     # a column table reads the tables of the keys [g, y_c] for each
     # u_J^- root c; filled in index order on first read, they must never
     # lead back to g: an x key brackets into lower x keys, Levi y keys, h
-    # or u_J^- y, a Levi y key into u_J^- y alone
+    # or u_J^- y.  A Levi root vector g, x or y, normalizes u_J^-: it
+    # brackets into u_J^- y alone, which the packed-row fill rests on
     rs = alg.rs
     for k in range(rs.n + 1):
         for I in itertools.combinations(range(1, rs.n + 1), k):
@@ -573,8 +574,8 @@ def test_bracket_keys_come_before_the_table_they_fill(alg):
                     continue
                 for c in order:
                     for (btyp, bg), _ in alg.bracket((typ, g), ("y", c)).items():
-                        if typ == "y":
-                            assert btyp == "y" and bg in u, (I, g, c)
+                        if g not in u:
+                            assert btyp == "y" and bg in u, (I, typ, g, c)
                         elif btyp == "x":
                             assert sum(bg) < sum(g), (I, g, c)
 
@@ -1107,20 +1108,23 @@ def test_heads_match_the_low_alcove_dims():
     assert [covered.count(k) for k in sorted(set(covered))] == [1, 30, 49, 10, 10]
 
 
+# the six perfbench sweep families, (type, rank, p, I)
+SWEEP_FAMILIES = [
+    ("A", 2, 13, (1,)),
+    ("A", 2, 11, (1,)),
+    ("B", 2, 7, (2,)),
+    ("C", 2, 7, (1,)),
+    ("A", 3, 7, (1,)),
+    ("A", 3, 5, (1,)),
+]
+
+
 def test_sweep_rows_match_the_levi_weyl_dim():
     # a sweep row is induced from L_J(lam_J): with lam_J in the Levi's
     # closed bottom alcove its dim is p^m times Weyl's formula over R_J^+,
-    # m the number of u_J roots; the six perfbench sweep families, 147 rows
-    families = [
-        ("A", 2, 13, (1,)),
-        ("A", 2, 11, (1,)),
-        ("B", 2, 7, (2,)),
-        ("C", 2, 7, (1,)),
-        ("A", 3, 7, (1,)),
-        ("A", 3, 5, (1,)),
-    ]
+    # m the number of u_J roots; the sweep families, 147 rows
     covered = 0
-    for typ, rank, p, I in families:
+    for typ, rank, p, I in SWEEP_FAMILIES:
         alg = ChevalleyAlgebra(RootSystem(typ, rank))
         rs = alg.rs
         levi = [g for g in rs.roots if all(c == 0 or k + 1 not in I for k, c in enumerate(g))]
@@ -1131,3 +1135,110 @@ def test_sweep_rows_match_the_levi_weyl_dim():
                 want = p ** (len(rs.roots) - len(levi)) * weyl_dim(rs, lam, levi)
                 assert mod.dim == want, (typ, rank, p, I, lam)
     assert covered == 147
+
+
+# ---- Levi root vectors through the family's packed rows ----
+
+
+def _levi_keys(mod):
+    # every x and y key whose root is not a u_J^- slot, simple or not
+    return [k for k in mod.alg.basis if k[0] != "h" and k[1] not in mod.slot]
+
+
+def _levi_rows_made(alg):
+    # the module_tables entries that _levi_rows made, by key
+    return {k: v for k, v in alg.module_tables.items() if len(k) == 4 and k[3] in alg.basis}
+
+
+def _first_levi_head_row(typ, rank, p, I):
+    # the first sweep row whose Levi head has dim > 1
+    rs = RootSystem(typ, rank)
+    J = LeviDatum(rs, I).J
+    lam = next(lam for lam in rs.regular_alcove_weights(p) if any(lam[j - 1] % p for j in J))
+    return typ, rank, False, p, I, lam
+
+
+LEVI_HEAD_CASES = [
+    ("B", 2, False, 5, (2,), (1, 1)),
+    ("B", 2, False, 13, (2,), (3, 5)),
+    ("C", 3, False, 5, (1,), (0, 1, 0)),
+    ("A", 3, False, 5, (1,), (0, 1, 3)),
+    ("D", 4, False, 3, (1,), (0, 1, 0, 0)),
+    ("A", 3, True, 5, (1,), (0, 1, 3)),
+] + [_first_levi_head_row(*family) for family in SWEEP_FAMILIES]
+
+
+@pytest.mark.parametrize(
+    "typ, rank, flip, p, I, lam",
+    LEVI_HEAD_CASES,
+    ids=[
+        "%s%d%s-p%d-I%s-lam%s" % (t, n, "-flip" * f, p, "".join(map(str, I)), "".join(map(str, lam)))
+        for t, n, f, p, I, lam in LEVI_HEAD_CASES
+    ],
+)
+def test_levi_tables_match_the_straightening(typ, rank, flip, p, I, lam):
+    # over a Levi head of dim > 1 a Levi root vector's table joins the
+    # base action to the family's packed rows; the straightening loop is
+    # the oracle.  The first module makes the rows in a fresh algebra, the
+    # second, of the same family, finds them made
+    alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+    for made_before in (False, True):
+        mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+        assert mod.levi.dim > 1
+        keys = _levi_keys(mod)
+        assert {k[0] for k in keys} == {"x", "y"}
+        rows = _levi_rows_made(alg)
+        assert len(rows) == (len(keys) if made_before else 0)
+        for key in keys:
+            assert mod.op_matrix(key) == mod._straighten(key), key
+        assert set(_levi_rows_made(alg)) == {
+            (p, mod.order, tuple(mod.chival), k) for k in keys
+        }
+        assert all(_levi_rows_made(alg)[k] is v for k, v in rows.items())
+
+
+def test_a_family_shares_its_levi_rows():
+    # two weights of one family read one packed rows object per key, and
+    # nothing the modules run writes into it
+    alg = ChevalleyAlgebra(RootSystem("B", 2))
+    mods = [build_parabolic_baby_verma(alg, _chi(alg, 5, (2,)), lam) for lam in ((1, 1), (3, 2))]
+    assert [mod.levi.dim for mod in mods] == [2, 4]
+    keys = _levi_keys(mods[0])
+    rows = {key: mods[0]._levi_rows(key) for key in keys}
+    before = _digest(rows)
+    for mod in mods:
+        assert all(mod._levi_rows(key) is rows[key] for key in keys)
+        for key in alg.basis:
+            mod.op_matrix(key)
+        maximal_vectors(mod)
+        is_irreducible(mod)
+        assert verify_commutators(mod)
+        assert verify_frobenius(mod)
+        assert _digest(rows) == before
+    assert _levi_rows_made(alg) == {
+        (5, mods[0].order, tuple(mods[0].chival), key): rows[key] for key in keys
+    }
+
+
+@pytest.mark.parametrize(
+    "chi_a, chi_b",
+    [((5, {1: 1}), (5, {1: 2})), ((5, None), (7, None))],
+    ids=["chi", "p"],
+)
+def test_other_families_get_their_own_levi_rows(chi_a, chi_b):
+    # A3 I={1} at lam=(0,1,3): an A2 Levi head, of dim 18 at p=5, 24 at p=7
+    alg = ChevalleyAlgebra(RootSystem("A", 3))
+    a, b = (
+        build_parabolic_baby_verma(alg, _chi(alg, p, (1,), values), (0, 1, 3))
+        for p, values in (chi_a, chi_b)
+    )
+    assert a.levi.dim == 18 and b.levi.dim == (18 if b.p == 5 else 24)
+    keys = _levi_keys(a)
+    for key in keys:
+        assert a.op_matrix(key) == a._straighten(key)
+        assert b.op_matrix(key) == b._straighten(key)
+        assert a._levi_rows(key) is not b._levi_rows(key)
+    assert len(_levi_rows_made(alg)) == 2 * len(keys)
+    # the rows read chi: [x_a2, y_(a1+a2)] is y_a1, whose p-th power wraps
+    # to chi(y_a1)^p
+    assert a._levi_rows(("x", (0, 1, 0))) != b._levi_rows(("x", (0, 1, 0)))
