@@ -43,24 +43,28 @@ one-dimensional base, chi zero on every u_J^- slot and every active
 simple root a slot (every chi = 0 baby Verma module and every Levi Verma
 module behind a Levi head), the module is a graded G_1T-module with the
 highest vector's line as its top weight space, so the radical is the
-annihilator of the closure of e*_high under the transposed action: one
+annihilator of the closure W of e*_high under the transposed action: one
 closure of rank dim(head).  With chi = 0 every y_i raises the PBW degree,
 so y_i^T kills e*_high and the closure runs under the transposed x_i
 alone.  There op_matrix(x_i) = A_i + lam_i B_i mod p: the family keeps
 the transposed rows of A_i, which is x_i at lam = 0; B_i removes one
 y_(alpha_i), times its exponent, and is read in closed form.  So the
-closure builds no column table of the module.
+closure builds no column table of the module.  head() of such a module
+is the HeadModule dual to W, with W's rows in place of the annihilator's:
+it has the quotient's basis and tables, each made from W, the transposed
+x_i rows and the family's slot tables, and its non-simple root vectors
+are brackets of its own tables, so no table of the module is made.
 Any other module sums the closures of its non-generating kernel lines
 as it goes, skipping lines already in the sum, and checks on the way
 that the head is simple, which it relies on: HeadNotSimple refuses a
-module outside that premise.
+module outside that premise; its head is the quotient by that sum.
 """
 
 import itertools
 import random
 from array import array
 
-from .fplin import Echelon, addmul, joint_kernel, span_closure
+from .fplin import Echelon, addmul, apply_columns, fp_inv, joint_kernel, span_closure
 from .chevalley import PChar
 from .pbw import fix_order
 from .roots import LeviDatum
@@ -426,38 +430,28 @@ class _RowsAt:
         return row
 
 
-class QuotientModule(ModuleBase):
-    """Quotient by an action-stable subspace, on the canonical
-    complement coordinates of the subspace's reduced row form.  The
-    stability of sub is the caller's premise and is not re-checked."""
+class _Kept(ModuleBase):
+    """A module on the parent's indices keep, ascending: basis vector b
+    stands for e_keep[b], and grades and drops are the parent's at keep."""
 
-    def __init__(self, parent, sub):
+    def __init__(self, parent, keep):
         self.parent = parent
         self.alg = parent.alg
         self.rs = parent.rs
         self.p = parent.p
         self.chi = parent.chi
         self.active = parent.active
-        self.sub = sub
-        pivots = set(sub.pivots())
-        self.keep = [c for c in range(parent.dim) if c not in pivots]
-        self.pos = {c: i for i, c in enumerate(self.keep)}
-        self.dim = len(self.keep)
+        self.keep = keep
+        self.pos = {c: i for i, c in enumerate(keep)}
+        self.dim = len(keep)
         self.high = self.pos.get(parent.high)
         self.lam = parent.lam
         self._cols = {}
         self._classes = None
         self._grades = None
 
-    def project(self, vec):
-        red = self.sub.reduce(vec)
-        return {self.pos[c]: v for c, v in red.items()}
-
     def lift(self, vec):
         return {self.keep[b]: c for b, c in vec.items()}
-
-    def act_basis(self, key, b):
-        return self.project(self.parent.act_basis(key, self.keep[b]))
 
     def grades(self):
         """The parent's grades at keep."""
@@ -469,6 +463,114 @@ class QuotientModule(ModuleBase):
     def drops(self):
         drops = self.parent.drops()
         return [drops[c] for c in self.keep]
+
+
+class QuotientModule(_Kept):
+    """Quotient by an action-stable subspace, on the canonical
+    complement coordinates of the subspace's reduced row form.  The
+    stability of sub is the caller's premise and is not re-checked."""
+
+    def __init__(self, parent, sub):
+        pivots = set(sub.pivots())
+        super().__init__(parent, [c for c in range(parent.dim) if c not in pivots])
+        self.sub = sub
+
+    def project(self, vec):
+        red = self.sub.reduce(vec)
+        return {self.pos[c]: v for c, v in red.items()}
+
+    def act_basis(self, key, b):
+        return self.project(self.parent.act_basis(key, self.keep[b]))
+
+
+class HeadModule(_Kept):
+    """The head of an InducedModule whose top_rows() exist, dual to the
+    closure W of e*_high under the transposed x_i (ops, the readers the
+    closure ran; w, W's rows on reversed indices).  keep holds W's pivots
+    mapped back, so the basis, grades and every table equal those of the
+    quotient by radical(parent): entry (q, b) of g is <w_q, g e_keep[b]>,
+    with w_q the row of W whose pivot is keep[q].  Tables are made on first
+    use and never read the parent's own: x_i applies its transposed rows
+    to W, y_i pairs W with the family's slot columns at keep, h_i is
+    diagonal, and a non-simple root vector is the bracket of two of this
+    module's own tables.  Only the h keys and the roots spanned by the
+    active simple roots act."""
+
+    def __init__(self, parent, ops, w):
+        n = parent.dim - 1
+        super().__init__(parent, sorted(n - q for q in w))
+        self._ops = ops
+        self._w = w
+        self._by_col = None
+
+    def act_basis(self, key, b):
+        cols = self._cols.get(key)
+        return (self.op_matrix(key) if cols is None else cols).get(b) or {}
+
+    def _fill(self, key):
+        typ, g = key
+        if typ == "h":
+            return {b: {b: c} for b, wt in enumerate(self.grades()) if (c := wt[g - 1])}
+        if any(c and k + 1 not in self.active for k, c in enumerate(g)):
+            raise KeyError("%r lies outside the span of the active roots %r" % (key, self.active))
+        if sum(g) > 1:
+            return self._bracketed(key)
+        if typ == "x":
+            return self._x_simple(self._ops[self.active.index(g.index(1) + 1)])
+        return self._y_simple(self.parent._lm[self.parent.slot[g]])
+
+    def _x_simple(self, op):
+        # x_i^T w_q lies in W, so its entries at W's pivots are its
+        # coordinates in the rows of W: column b reads the pivot of w_b
+        n, p, w, pos = self.parent.dim - 1, self.p, self._w, self.pos
+        cols = {}
+        for rq, row in w.items():
+            q = pos[n - rq]
+            for j, c in apply_columns(op, row, p).items():
+                if j in w:
+                    cols.setdefault(pos[n - j], {})[q] = c
+        return cols
+
+    def _y_simple(self, lm):
+        # <w_q, y e_k> over the entries of the slot column lm[k], through W
+        # indexed by column: parent index -> [(q, w_q there)]
+        n, p = self.parent.dim - 1, self.p
+        if self._by_col is None:
+            self._by_col = {}
+            for rq, row in self._w.items():
+                q = self.pos[n - rq]
+                for j, c in row.items():
+                    self._by_col.setdefault(n - j, []).append((q, c))
+        cols = {}
+        for b, k in enumerate(self.keep):
+            out = {}
+            for c, v in lm[k].items():
+                for q, wc in self._by_col.get(c, ()):
+                    out[q] = out.get(q, 0) + v * wc
+            if col := {q: v % p for q, v in out.items() if v % p}:
+                cols[b] = col
+        return cols
+
+    def _bracketed(self, key):
+        # [g_i, g_gamma] = N g for an active alpha_i with gamma = root -
+        # alpha_i a root; N is +-1 or +-2, a unit at every good prime
+        typ, g = key
+        p = self.p
+        for i in self.active:
+            a = self.rs.simple(i)
+            gamma = tuple(x - y for x, y in zip(g, a))
+            if gamma in self.rs.index:
+                break
+        ((_, n),) = self.alg.bracket((typ, a), (typ, gamma)).items()
+        inv = fp_inv(n, p)
+        ta, tg = self.op_matrix((typ, a)), self.op_matrix((typ, gamma))
+        cols = {}
+        for b in range(self.dim):
+            col = apply_columns(ta, tg.get(b, {}), p)
+            addmul(col, apply_columns(tg, ta.get(b, {}), p), -1, p)
+            if col:
+                cols[b] = {k: v * inv % p for k, v in col.items()}
+        return cols
 
 
 # ---- builders ----
@@ -658,21 +760,27 @@ def radical(mod, cap=LINES_CAP):
     return _radical_vectors(mod, cap)
 
 
-def _annihilator_of_top(mod):
-    # The closure W runs on reversed indices i -> n - i, so its min-pivot
-    # rows are W's max-pivot reduced rows.  For each free column f of
-    # that form, e_f - sum_q W[q][f] e_q is the row of pivot f in the
-    # min-pivot reduced form of the annihilator.  Every word in the x_i
+def _top_closure(mod):
+    # The closure W of e*_high, on reversed indices i -> n - i, so its
+    # min-pivot rows are W's max-pivot reduced rows.  Every word in the x_i
     # and y_i is a sum of Y-word.H.X-word, and Y_j^T e*_high = 0 while
     # h^T e*_high = lam(h) e*_high, so the x_i^T alone make the closure.
-    n, p = mod.dim - 1, mod.p
+    # Returns the x_i^T readers, per active i, and W's rows.
+    p = mod.p
     ops = []
     for i, (a, stride) in zip(mod.active, mod.top_rows()):
         lam = mod.lam[i - 1] % p
         ops.append(_RowsAt(a, stride, lam, p) if lam else a)
-    w = span_closure(
-        [{n - mod.high: 1}], ops, p, dim=mod.dim, grade=mod.grades()[::-1]
-    ).rows
+    seed = {mod.dim - 1 - mod.high: 1}
+    w = span_closure([seed], ops, p, dim=mod.dim, grade=mod.grades()[::-1])
+    return ops, w.rows
+
+
+def _annihilator_of_top(mod):
+    # For each free column f of W's max-pivot form, e_f - sum_q W[q][f] e_q
+    # is the row of pivot f in the min-pivot reduced form of the annihilator.
+    n, p = mod.dim - 1, mod.p
+    _, w = _top_closure(mod)
     rows = {f: {f: 1} for f in range(mod.dim) if n - f not in w}
     for rq, row in w.items():
         for ri, c in row.items():
@@ -716,6 +824,12 @@ def _radical_vectors(mod, cap):
 
 
 def head(mod, cap=LINES_CAP):
+    """The simple head of mod, on the canonical complement of radical(mod).
+    Where radical() takes the transposed closure W of e*_high, the head is
+    the HeadModule dual to W, made without the radical's rows; otherwise it
+    is the quotient by the radical."""
+    if isinstance(mod, InducedModule) and mod.top_rows() is not None:
+        return HeadModule(mod, *_top_closure(mod))
     return QuotientModule(mod, radical(mod, cap))
 
 
@@ -810,6 +924,8 @@ def verify_frobenius(mod, seed=0):
         for b in idxs:
             v = {b: 1}
             for _ in range(p):
+                if not v:  # g.0 = 0: the chain ends at 0
+                    break
                 v = _apply(mod, key, v)
             if key[0] == "h":
                 want = mod.act_basis(key, b)

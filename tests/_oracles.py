@@ -34,6 +34,7 @@ import random
 
 from babyverma.fplin import Echelon, apply_columns, span_closure
 from babyverma.modules import (
+    HeadModule,
     QuotientModule,
     TrivialLevi,
     _kernel_lines,
@@ -521,12 +522,12 @@ def classes_per_index(mod, p):
 
 def weight_int(mod, b):
     """Integer weight of basis index b: a TrivialLevi's lam; a quotient's
-    at its parent index keep[b]; on an induced module y^a (tensor) l, the
-    base's weight at l minus a_k times each slot root, in fundamental
-    coordinates."""
+    or a head's at its parent index keep[b]; on an induced module
+    y^a (tensor) l, the base's weight at l minus a_k times each slot root,
+    in fundamental coordinates."""
     if isinstance(mod, TrivialLevi):
         return mod.lam
-    if isinstance(mod, QuotientModule):
+    if isinstance(mod, (QuotientModule, HeadModule)):
         return weight_int(mod.parent, mod.keep[b])
     r, l = divmod(b, mod.levi.dim)
     w = list(weight_int(mod.levi, l))
@@ -537,11 +538,11 @@ def weight_int(mod, b):
 
 def drop_int(mod, b):
     """Integer drop of basis index b, in simple-root coordinates: zero
-    on a TrivialLevi; a quotient's at keep[b]; on y^a (tensor) l, the
-    base's drop at l plus a_k times each slot root."""
+    on a TrivialLevi; a quotient's or a head's at keep[b]; on
+    y^a (tensor) l, the base's drop at l plus a_k times each slot root."""
     if isinstance(mod, TrivialLevi):
         return (0,) * len(mod.lam)
-    if isinstance(mod, QuotientModule):
+    if isinstance(mod, (QuotientModule, HeadModule)):
         return drop_int(mod.parent, mod.keep[b])
     r, l = divmod(b, mod.levi.dim)
     d = list(drop_int(mod.levi, l))

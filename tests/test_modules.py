@@ -29,6 +29,7 @@ from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
 from babyverma.fplin import addmul, span_closure
 from babyverma.modules import (
     CapExceeded,
+    HeadModule,
     HeadNotSimple,
     QuotientModule,
     TrivialLevi,
@@ -453,17 +454,23 @@ def test_verify_commutators_and_frobenius():
 @pytest.mark.parametrize("check", [verify_commutators, verify_frobenius])
 def test_verify_checks_reject_a_wrong_column(check):
     # x_alpha fixing one basis vector breaks both the commutator and
-    # the p-th power law; at dim 50 both checks are exhaustive
+    # the p-th power law.  So does y_alpha killing two vectors, 7 and
+    # y_alpha e_7: at chi(y_alpha) = 1, y_alpha permutes the basis up to
+    # scalars with y_alpha^p = 1, so every power chain through them dies
+    # before its last step and must still be compared.  At dim 50 both
+    # checks are exhaustive
     mod = build_parabolic_baby_verma(A2, _chi(A2, 5, (1,)), (0, 1))
-    bad_key, bad_b = ("x", A2.rs.simple(1)), 7
     act = mod.act_basis
+    x, y = ("x", A2.rs.simple(1)), ("y", A2.rs.simple(1))
+    assert mod.chi.at_root(y[1]) == 1 and len(act(y, 7)) == 1
+    for bad_key, bad_bs, bad_col in ((x, {7}, {7: 1}), (y, {7, *act(y, 7)}, {})):
 
-    def wrong(key, b):
-        return {b: 1} if (key, b) == (bad_key, bad_b) else act(key, b)
+        def wrong(key, b):
+            return bad_col if key == bad_key and b in bad_bs else act(key, b)
 
-    mod.act_basis = wrong
-    with pytest.raises(AssertionError):
-        check(mod)
+        mod.act_basis = wrong
+        with pytest.raises(AssertionError):
+            check(mod)
 
 
 def test_lambda_only_matters_mod_p():
@@ -726,12 +733,16 @@ def test_radical_refuses_a2_p3_regular_nilpotent():
 def test_b3_p3_heads_past_the_line_cap(lam, head_dim):
     # the B3 p=3 chi = 0 baby Verma (dim 19 683) has 11 096 kernel lines
     # at (1,0,1) and 31 815 at (1,1,0), over the default line cap; the
-    # transposed closure builds its head in one closure of rank head_dim
+    # transposed closure builds its head in one closure of rank head_dim.
+    # Deciding and checking the head fills no table of the Verma module
     B3 = ChevalleyAlgebra(RootSystem("B", 3))
-    q = head(build_baby_verma(B3, PChar(3, []), lam))
+    mod = build_baby_verma(B3, PChar(3, []), lam)
+    q = head(mod)
     assert q.dim == head_dim
     assert is_irreducible(q).irreducible
     assert verify_commutators(q)
+    assert verify_frobenius(q)
+    assert mod._cols == {}
 
 
 def test_radical_path_follows_the_module(monkeypatch):
@@ -926,7 +937,7 @@ def test_classes_and_grades_match_the_per_index_reading():
         head(build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))),
         TrivialLevi((3, 7, 1)),
     ]
-    assert isinstance(mods[3], QuotientModule) and isinstance(mods[4], QuotientModule)
+    assert isinstance(mods[3], HeadModule) and isinstance(mods[4], QuotientModule)
     p = 5
     for mod in mods:
         classes, grades, drops = classes_per_index(mod, p)
@@ -1084,6 +1095,97 @@ def test_radical_builds_no_column_table():
     for mod in _differential_set()[::7]:
         radical(mod)
         assert mod._cols == {}
+
+
+# ---- the head on the transposed path, dual to the closure of e*_high ----
+
+
+def _head_keys(mod):
+    # the h keys, and every x and y key whose root the active simple
+    # roots span: the keys a head acts by
+    act = set(mod.active)
+    return [
+        k for k in mod.alg.basis
+        if k[0] == "h" or all(c == 0 or i + 1 in act for i, c in enumerate(k[1]))
+    ]
+
+
+def _assert_head_is_the_quotient(mod):
+    # head() against the quotient by radical(), table by table
+    hd, q = head(mod), QuotientModule(mod, radical(mod))
+    assert isinstance(hd, HeadModule)
+    assert (hd.dim, hd.high, hd.keep) == (q.dim, q.high, q.keep)
+    assert hd.grades() == q.grades() and hd.drops() == q.drops()
+    for key in _head_keys(mod):
+        assert hd.op_matrix(key) == q.op_matrix(key), key
+    return hd
+
+
+def test_head_tables_match_the_quotient_by_the_radical():
+    # the 216 modules of the differential set; the representation checks
+    # on the heads of its Borel modules, which act by every key
+    borel = 0
+    for mod in _differential_set():
+        hd = _assert_head_is_the_quotient(mod)
+        if len(mod.active) == mod.rs.n:
+            assert verify_commutators(hd) and verify_frobenius(hd)
+            borel += 1
+    assert borel == 209
+
+
+def test_sweep_levi_heads_match_the_quotient_by_the_radical():
+    # the Levi heads of dim > 1 behind the rows of the six sweep families
+    dims = []
+    for typ, rank, p, I in SWEEP_FAMILIES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        for lam in alg.rs.regular_alcove_weights(p):
+            levi = build_levi_simple(alg, p, I, lam)
+            if levi.dim > 1:
+                assert isinstance(levi, HeadModule)
+                dims.append(_assert_head_is_the_quotient(levi.parent).dim)
+    assert len(dims) == 113 and min(dims) > 1
+
+
+def test_head_reads_no_table_of_the_module_it_heads(monkeypatch):
+    # on the transposed path head() writes no annihilator, and neither
+    # head() nor any table of the head calls op_matrix on the module it
+    # heads: only on the head, and on the family's member at lam = 0 whose
+    # x_i tables top_rows() transposes once per family
+    def no_annihilator(mod):
+        raise AssertionError("head() wrote the annihilator")
+
+    monkeypatch.setattr(modules, "_annihilator_of_top", no_annihilator)
+    owners = []
+    op_matrix = modules.ModuleBase.op_matrix
+
+    def spy(self, key):
+        owners.append((self, key))
+        return op_matrix(self, key)
+
+    monkeypatch.setattr(modules.ModuleBase, "op_matrix", spy)
+    # fresh algebras, so that each family makes its row tables here
+    a2, b2, c3 = (ChevalleyAlgebra(RootSystem(*t)) for t in (("A", 2), ("B", 2), ("C", 3)))
+    mods = [
+        build_baby_verma(a2, PChar(5, ()), (1, 2)),
+        build_baby_verma(a2, PChar(3, ()), (0, 0)),
+        _levi_verma(b2, 5, (2,), (1, 1)),
+        _levi_verma(c3, 5, (1,), (0, 1, 0)),
+    ]
+    made = 0
+    for mod in mods:
+        del owners[:]
+        hd = head(mod)
+        keys = _head_keys(mod)
+        for key in keys:
+            hd.act_basis(key, 0)
+        others = [o for o, _ in owners if o is not hd]
+        assert all(o is not mod and o.lam == (0,) * mod.rs.n for o in others)
+        assert {key for o, key in owners if o is hd} == set(keys)
+        assert mod._cols == {}
+        made += len(others) > 0
+    # each family filled its member at lam = 0; A2 at p = 3 is a family
+    # of its own
+    assert made == 4
 
 
 # ---- dimension oracles from root data alone ----
