@@ -121,6 +121,10 @@ class ModuleBase:
     def _fill(self, key):
         return {b: img for b in range(self.dim) if (img := self.act_basis(key, b))}
 
+    def top_rows(self):
+        # no transposed x_i rows: radical() and head() close kernel lines
+        return None
+
     def xy_ops(self):
         ops = []
         for i in self.active:
@@ -755,7 +759,7 @@ def radical(mod, cap=LINES_CAP):
     module closes its non-generating kernel lines (at most cap) and
     raises HeadNotSimple if they are seen to generate together.  Both
     paths give the same reduced row form."""
-    if isinstance(mod, InducedModule) and mod.top_rows() is not None:
+    if mod.top_rows() is not None:
         return _annihilator_of_top(mod)
     return _radical_vectors(mod, cap)
 
@@ -828,7 +832,7 @@ def head(mod, cap=LINES_CAP):
     Where radical() takes the transposed closure W of e*_high, the head is
     the HeadModule dual to W, made without the radical's rows; otherwise it
     is the quotient by the radical."""
-    if isinstance(mod, InducedModule) and mod.top_rows() is not None:
+    if mod.top_rows() is not None:
         return HeadModule(mod, *_top_closure(mod))
     return QuotientModule(mod, radical(mod, cap))
 

@@ -37,49 +37,35 @@ def _order_type_a_suffix(rs, ld):
     return [tuple(reversed(g)) for g in _order_type_a(rs, ld)]
 
 
-def _order_type_b(rs, ld):
-    # blocks by leading simple index, from n down to 1; inside a block
-    # the non-simple roots go by height, the simple root last
-    out = []
-    for a in range(rs.n, 0, -1):
-        row = [g for g in ld.u_roots if _min_support(g) == a]
-        if not row:
-            continue
-        simple = rs.simple(a)
-        nons = sorted((g for g in row if g != simple), key=sum)
+def _blocks(rs, ld, indices, lead):
+    # one block per simple index a, of the u_J^- roots g with
+    # lead(g) == a: the non-simple roots by height, the simple root last
+    for a in indices:
+        row = [g for g in ld.u_roots if lead(g) == a]
+        nons = sorted((g for g in row if g != rs.simple(a)), key=sum)
         assert len({sum(g) for g in nons}) == len(nons)
-        out.extend(nons)
-        if simple in row:
-            out.append(simple)
-    return out
+        yield from nons
+        if rs.simple(a) in row:
+            yield rs.simple(a)
+
+
+def _order_type_b(rs, ld):
+    # blocks by leading simple index, from n down to 1
+    return list(_blocks(rs, ld, range(rs.n, 0, -1), _min_support))
 
 
 def _epair(rs, g):
     ev = rs.evector(g)
     pos = [i + 1 for i, v in enumerate(ev) if v]
-    if len(pos) == 1:
-        return (pos[0], pos[0])
-    return (pos[0], pos[1])
+    return (pos[0], pos[-1])
 
 
 def _order_type_c(rs, ld):
     # blocks by trailing simple index for the short-root part, then the
     # long-root block ordered by the euclidean support pair
-    out = []
-    for j in range(1, rs.n):
-        row = [g for g in ld.u_roots if _max_support(g) == j]
-        if not row:
-            continue
-        simple = rs.simple(j)
-        nons = sorted((g for g in row if g != simple), key=sum)
-        assert len({sum(g) for g in nons}) == len(nons)
-        out.extend(nons)
-        if simple in row:
-            out.append(simple)
     long_row = [g for g in ld.u_roots if g[rs.n - 1] > 0]
     long_row.sort(key=lambda g: (-_epair(rs, g)[1], -_epair(rs, g)[0]))
-    out.extend(long_row)
-    return out
+    return list(_blocks(rs, ld, range(1, rs.n), _max_support)) + long_row
 
 
 def _order_type_d_suffix(rs, ld):

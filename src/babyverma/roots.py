@@ -3,10 +3,15 @@ dot action, p-regular alcove weights and the admissible Levi shapes.
 
 Conventions. Roots are tuples of coefficients over the simple roots
 alpha_1..alpha_n. Weights are tuples of fundamental coordinates,
-coords[i] = <lambda, alpha_i^vee>. The Cartan matrix is
-cartan[i][j] = <alpha_i, alpha_j^vee>; alpha_n is short in B_n, long in
-C_n, and D_n forks at alpha_{n-2}. Simple-root indices are 1-based in
-every public signature.
+coords[i] = <lambda, alpha_i^vee>. The one type-specific table is
+_simple_evectors, the simple roots over the orthogonal basis e_1..e_m
+(Bourbaki, Lie Groups and Lie Algebras VI, plates I-IV):
+alpha_i = e_i - e_(i+1), and alpha_n = e_n in B_n (short), 2e_n in C_n
+(long) and e_(n-1) + e_n in D_n (the fork at alpha_(n-2)); type A has
+m = n+1. The Cartan matrix cartan[i][j] = <alpha_i, alpha_j^vee> =
+2(alpha_i, alpha_j)/(alpha_j, alpha_j), the root lengths, the coroots
+and the e-vector of every root are derived from it. Simple-root indices
+are 1-based in every public signature.
 """
 
 import itertools
@@ -15,22 +20,22 @@ from fractions import Fraction
 RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 4}
 
 
-def cartan_matrix(typ, n):
-    A = [[0] * n for _ in range(n)]
-    for i in range(n):
-        A[i][i] = 2
-    for i in range(n - 1):
-        A[i][i + 1] = A[i + 1][i] = -1
-    if typ == "B":
-        A[n - 2][n - 1] = -2
-        A[n - 1][n - 2] = -1
-    elif typ == "C":
-        A[n - 2][n - 1] = -1
-        A[n - 1][n - 2] = -2
-    elif typ == "D":
-        A[n - 2][n - 1] = A[n - 1][n - 2] = 0
-        A[n - 3][n - 1] = A[n - 1][n - 3] = -1
-    return tuple(tuple(row) for row in A)
+def _simple_evectors(typ, n):
+    m = n + 1 if typ == "A" else n
+    rows = [[(k == i) - (k == i + 1) for k in range(m)] for i in range(n)]
+    if typ != "A":
+        rows[-1] = [0] * (n - 2) + {"B": [0, 1], "C": [0, 2], "D": [1, 1]}[typ]
+    return tuple(map(tuple, rows))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _integral(fracs, what):
+    if any(f.denominator != 1 for f in fracs):
+        raise AssertionError("non-integral " + what)
+    return tuple(int(f) for f in fracs)
 
 
 def _expected_count(typ, n):
@@ -61,21 +66,28 @@ class RootSystem:
             )
         self.typ = typ
         self.n = rank
-        self.cartan = cartan_matrix(typ, rank)
+        self._e = _simple_evectors(typ, rank)
+        self.cartan = tuple(
+            _integral([Fraction(2 * _dot(a, b), _dot(b, b)) for b in self._e],
+                      "Cartan matrix of %s%d" % (typ, rank))
+            for a in self._e
+        )
         self.roots = self._generate_positive_roots()
         self.N = len(self.roots)
         if self.N != _expected_count(typ, rank):
             raise AssertionError("positive root count mismatch")
         self.index = {g: k for k, g in enumerate(self.roots)}
-        self._fund = {g: self._fund_coords(g) for g in self.roots}
-        self.d = self._symmetrizers()
-        self.droot = {g: self._half_length(g) for g in self.roots}
-        self.coroot_weights = {}
-        for g in self.roots:
-            m = tuple(Fraction(c) * self.d[j] / self.droot[g] for j, c in enumerate(g))
-            if any(f.denominator != 1 for f in m):
-                raise AssertionError("non-integral coroot expansion for %r" % (g,))
-            self.coroot_weights[g] = tuple(int(f) for f in m)
+        cols = tuple(zip(*self.cartan))
+        self._fund = {g: tuple(_dot(g, col) for col in cols) for g in self.roots}
+        # (g, g)/2, which is 1 on alpha_1 in every type
+        ev = {g: self.evector(g) for g in self.roots}
+        self.droot = {g: Fraction(_dot(v, v), 2) for g, v in ev.items()}
+        d = [self.droot[self.simple(j)] for j in range(1, rank + 1)]
+        self.coroot_weights = {
+            g: _integral([c * d[j] / self.droot[g] for j, c in enumerate(g)],
+                         "coroot expansion for %r" % (g,))
+            for g in self.roots
+        }
 
     def _generate_positive_roots(self):
         n = self.n
@@ -106,34 +118,6 @@ class RootSystem:
         # height then anti-lexicographic; addition-compatible total order
         all_roots.sort(key=lambda g: (sum(g), tuple(-c for c in g)))
         return tuple(all_roots)
-
-    def _fund_coords(self, root):
-        n = self.n
-        return tuple(
-            sum(root[k] * self.cartan[k][i] for k in range(n)) for i in range(n)
-        )
-
-    def _symmetrizers(self):
-        # d_i with d_i * a_ij symmetric in (i, j); fixes d_1 = 1
-        n = self.n
-        d = [None] * n
-        d[0] = Fraction(1)
-        todo = [0]
-        while todo:
-            i = todo.pop()
-            for j in range(n):
-                if j != i and self.cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * self.cartan[j][i] / self.cartan[i][j]
-                    todo.append(j)
-        return tuple(d)
-
-    def _half_length(self, root):
-        # (root, root)/2 in the scale where long simple roots have 1
-        acc = Fraction(0)
-        for l, c in enumerate(root):
-            if c:
-                acc += Fraction(c) * self.d[l] * self._fund[root][l]
-        return acc / 2
 
     def simple(self, i):
         return tuple(1 if j == i - 1 else 0 for j in range(self.n))
@@ -178,24 +162,7 @@ class RootSystem:
     def evector(self, root):
         """Coordinates of the root over the orthogonal e_i basis
         (length n+1 for type A, n otherwise)."""
-        n = self.n
-        m = n + 1 if self.typ == "A" else n
-        v = [0] * m
-        for k, c in enumerate(root):
-            if not c:
-                continue
-            i = k + 1
-            if self.typ == "A" or i < n:
-                v[i - 1] += c
-                v[i] -= c
-            elif self.typ == "B":
-                v[n - 1] += c
-            elif self.typ == "C":
-                v[n - 1] += 2 * c
-            else:
-                v[n - 2] += c
-                v[n - 1] += c
-        return tuple(v)
+        return tuple(_dot(root, col) for col in zip(*self._e))
 
 
 class LeviDatum:

@@ -35,6 +35,19 @@ def test_check_rejects_composite_p(capsys):
     assert "not prime" in err
 
 
+def test_huge_p_refused_by_cap_before_primality(monkeypatch, capsys):
+    # every module check builds has dim >= p, so p = 2^61 - 1 is over the
+    # cap; trial division on it would not finish
+    calls = []
+    monkeypatch.setattr(campaigns, "is_prime", lambda p: calls.append(p) or True)
+    p = 2**61 - 1
+    rc = main(["check", "--type", "A", "--rank", "1", "--p", str(p), "--lambda", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "dimension at least %d exceeds cap 50000" % p in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("cmd", [["check"], ["dump", "matrix", "--gen", "h1"]])
 @pytest.mark.parametrize("typ", ["B", "C", "D"])
 def test_bad_prime_two_rejected(cmd, typ, capsys):

@@ -9,7 +9,7 @@ from _oracles import (
     in_first_dominant_alcove,
     is_p_regular,
 )
-from babyverma.roots import LeviDatum, RootSystem, root_label, shape_check
+from babyverma.roots import RANK_MIN, LeviDatum, RootSystem, root_label, shape_check
 
 
 def rs(typ, n):
@@ -192,6 +192,55 @@ def test_evector():
     assert D.evector((0, 0, 0, 1)) == (0, 0, 1, 1)   # e3+e4
     assert D.evector((1, 1, 0, 1)) == (1, 0, 0, 1)   # e1+e4
     assert D.evector((1, 1, 1, 1)) == (1, 0, 1, 0)   # e1+e3
+
+
+# Bourbaki plates I-IV in the module docstring's numbering:
+# alpha_n short in B_n, long in C_n, and D_n forking at alpha_(n-2)
+CARTAN = {
+    ("A", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    ("B", 2): ((2, -2), (-1, 2)),
+    ("B", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+    ("C", 2): ((2, -1), (-2, 2)),
+    ("C", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2)),
+    ("D", 4): ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    ("D", 5): (
+        (2, -1, 0, 0, 0),
+        (-1, 2, -1, 0, 0),
+        (0, -1, 2, -1, -1),
+        (0, 0, -1, 2, 0),
+        (0, 0, -1, 0, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("typ, n", sorted(CARTAN))
+def test_cartan_matrix_literal(typ, n):
+    assert rs(typ, n).cartan == CARTAN[typ, n]
+
+
+@pytest.mark.parametrize(
+    "typ, n", [(t, n) for t, lo in RANK_MIN.items() for n in range(lo, 9)]
+)
+def test_derived_root_data_identities(typ, n):
+    R = rs(typ, n)
+    # <alpha, alpha^vee> = 2 for every positive root
+    assert all(R.pairing(R.fund(g), g) == 2 for g in R.roots)
+    # the simple root lengths symmetrize the Cartan matrix:
+    # cartan[i][j] * (alpha_j, alpha_j)/2 = (alpha_i, alpha_j)
+    d = [R.droot[R.simple(i)] for i in range(1, n + 1)]
+    for i in range(n):
+        for j in range(n):
+            assert R.cartan[i][j] * d[j] == R.cartan[j][i] * d[i]
+    assert R.droot[R.simple(1)] == 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_short_root_counts(n):
+    # B_n: the n roots e_i are short; C_n: the n(n-1) roots e_i +- e_j
+    for typ, short in (("B", n), ("C", n * (n - 1))):
+        R = rs(typ, n)
+        top = max(R.droot.values())
+        assert sum(1 for g in R.roots if R.droot[g] < top) == short
 
 
 def test_levi_datum():
