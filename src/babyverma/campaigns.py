@@ -65,18 +65,26 @@ def is_prime(p):
     return True
 
 
-def check_prime(typ, p):
+def check_prime(typ, p, cap):
     """Refuse p unless it is a good prime for the type: prime, and
-    odd for types B, C and D, where 2 is a bad prime."""
+    odd for types B, C and D, where 2 is a bad prime.  A p above cap is
+    refused first, as CapExceeded, for a caller whose modules all have
+    dim >= p: the primality test is trial division."""
+    if cap is not None and p > cap:
+        raise CapExceeded("dimension at least %d exceeds cap %d" % (p, cap))
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
     if typ != "A" and p == 2:
         raise ValueError("p = 2 is a bad prime: types B, C, D need p > 2")
 
 
-def check_sweep_params(typ, rank, p, I):
+def check_sweep_params(typ, rank, p, I, cap=DIM_CAP):
+    """The root system, once p, I and the rank suit a sweep of modules
+    capped at dim cap (None: nothing is built).  Each has dim >= p: its
+    u_J^- part alone has dim p^|u_J^-| when I is proper, and at I = Pi,
+    chi is regular nilpotent: p^N divides every dim (Kac-Weisfeiler)."""
     rs = RootSystem(typ, rank)
-    check_prime(typ, p)
+    check_prime(typ, p, cap)
     if not shape_check(rs, I):
         raise ValueError("Levi shape %s is not admissible for %s%d" % (list(I), typ, rank))
     if typ == "A" and (rank + 1) % p == 0:
@@ -152,7 +160,7 @@ def _pooled_row(future, task):
 
 
 def verify_main_theorem(typ, rank, p, I, cap=DIM_CAP, lines_cap=LINES_CAP, workers=1):
-    rs = check_sweep_params(typ, rank, p, I)
+    rs = check_sweep_params(typ, rank, p, I, cap)
     I = tuple(sorted(set(I)))
     weights = rs.regular_alcove_weights(p)
     tasks = [(typ, rank, p, I, lam, cap, lines_cap) for lam in weights]
@@ -227,7 +235,7 @@ def subregular_block_a(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
     if sum(r) > p - 1:
         raise ValueError("sum of r must be at most p-1")
     I = tuple(range(1, n))
-    rs = check_sweep_params("A", n, p, I)
+    rs = check_sweep_params("A", n, p, I, cap if build else None)
     total = sum(r)
     npos = len(rs.roots)
     lam0 = tuple(x - 1 for x in r)
@@ -266,7 +274,7 @@ def subregular_block_b(p, r, cap=DIM_CAP, lines_cap=LINES_CAP, build=True):
     if 2 * sum(r[: n - 1]) + r[n - 1] > p - 1:
         raise ValueError("2(r_1+..+r_{n-1}) + r_n must be at most p-1")
     I = tuple(range(2, n + 1))
-    rs = check_sweep_params("B", n, p, I)
+    rs = check_sweep_params("B", n, p, I, cap if build else None)
     npos = len(rs.roots)
     lam1 = tuple(x - 1 for x in r)
     long_sum = r[0] + 2 * sum(r[1 : n - 1]) + r[n - 1]

@@ -150,11 +150,8 @@ def _algebra_from_args(args):
 def _module_from_args(args):
     """The module check and dump matrix work on: induced from the Levi
     head when --I is nonempty, else the baby Verma at chi = 0."""
-    # each such module has dim >= p: refuse a large p before the
-    # primality test, which is trial division
-    if args.p > args.cap:
-        raise CapExceeded("dimension at least %d exceeds cap %d" % (args.p, args.cap))
-    campaigns.check_prime(args.type, args.p)
+    # each such module has dim >= p
+    campaigns.check_prime(args.type, args.p, args.cap)
     alg = _algebra_from_args(args)
     I = _parse_I(args.I)
     lam = _resolve_lambda(args, alg.rs.n)

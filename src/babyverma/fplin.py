@@ -110,37 +110,63 @@ class Echelon:
         return [self.rows[j] for j in sorted(self.rows)]
 
 
-def nullspace(equations, ncols, p):
+def nullspace(equations, ncols, p, cols=None, grade=None):
     """Kernel basis for a system of sparse equation rows over columns
-    0..ncols-1. Basis vectors are keyed to free columns in ascending order
-    and returned in RREF-dual form (exact, canonical).  Stops reading
-    equations once their rank reaches ncols: the kernel is then zero."""
-    ech = Echelon(p)
+    0..ncols-1, or over the ascending columns cols alone (the others vanish
+    on the kernel), one vector per free column in ascending order, that
+    column its first key, in RREF-dual form (exact, canonical).  Stops
+    reading equations once their rank reaches the column count.  grade, as
+    in Echelon.graded, keeps both back-substitution and reading in a key."""
+    cols = range(ncols) if cols is None else cols
+    ech = Echelon.graded(p, grade)
     for eq in equations:
-        if ech.insert(eq) is not None and len(ech.rows) == ncols:
+        if ech.insert(eq) is not None and len(ech.rows) == len(cols):
             return []
-    pivots = ech.rows
     out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = {f: 1}
-        for q, row in pivots.items():
-            c = row.get(f)
-            if c:
-                v[q] = (-c) % p
-        out.append(v)
+    for f in cols:
+        if f not in ech.rows:
+            rows = ech.rows if grade is None else ech.parts.get(grade[f], {})
+            out.append({f: 1, **{q: (-r[f]) % p for q, r in rows.items() if r.get(f)}})
     return out
 
 
-def joint_kernel(ops, dim, p):
-    """Common kernel of a list of column-form operators on F_p^dim."""
-    eqs = {}
-    for t, op in enumerate(ops):
+def joint_kernel(ops, dim, p, grade=None):
+    """Common kernel of column-form operators on F_p^dim, as nullspace of
+    the equations "row i of op t" gives it (grade as there).  First a peel:
+    an equation with one live column j forces x_j = 0, so j is dropped and
+    its equations lose it, until none has one.  Equation i*len(ops)+t keeps
+    its live count and live column sum, the column itself at count 1.  Each
+    peeled e_j lies in the row space, so the RREF is the e_j and the RREF of
+    the live columns' equations, the only ones built and solved."""
+    T, tops = len(ops), list(enumerate(ops))
+    count, total = [0] * (dim * T), [0] * (dim * T)
+    for t, op in tops:
         for j, col in op.items():
             for i, c in col.items():
-                eqs.setdefault((t, i), {})[j] = c
-    return nullspace(eqs.values(), dim, p)
+                if c % p:
+                    count[i * T + t] += 1
+                    total[i * T + t] += j
+    live, stack = [True] * dim, [e for e, n in enumerate(count) if n == 1]
+    while stack:
+        if count[e := stack.pop()] == 1:
+            j = total[e]
+            live[j] = False
+            for t, op in tops:
+                for i, c in op.get(j, {}).items():
+                    if c % p:
+                        e = i * T + t
+                        count[e] -= 1
+                        total[e] -= j
+                        if count[e] == 1:
+                            stack.append(e)
+    cols = [j for j in range(dim) if live[j]]
+    eqs = {}
+    for j in cols:
+        for t, op in tops:
+            for i, c in op.get(j, {}).items():
+                if c % p:
+                    eqs.setdefault(i * T + t, {})[j] = c
+    return nullspace(eqs.values(), dim, p, cols, grade)
 
 
 def span_closure(seeds, ops, p, dim=None, grade=None, stop=None):

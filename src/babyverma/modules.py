@@ -28,7 +28,11 @@ strictly lowers the total drop height, which is bounded), and splitting
 such a vector into torus eigencomponents keeps it in the submodule.  So
 the module is irreducible iff every line in every per-weight-class
 joint kernel of the raising operators generates.  Line counts are
-capped; hitting the cap raises instead of guessing.
+capped; hitting the cap raises instead of guessing.  One peeled
+elimination per module gives exactly the per-class kernels: x_t maps class
+(wt, drop) into (wt + alpha_t, drop - alpha_t), so the RREF is the union of
+the per-class RREFs, each on its indices in ascending order, and every
+peeled e_j lies in the row space: the RREF is the e_j and that of the rest.
 
 Each generation test is a span closure graded by weight mod p: one
 echelon whose rows each lie in one weight class, so a new row is
@@ -635,18 +639,19 @@ def _projective_coeffs(p, d):
 def maximal_vectors(mod):
     """Joint kernel of the active raising operators, split by
     (weight mod p, drop mod p) component.  Returns a dict
-    (wt, comp) -> list of kernel basis vectors in global coordinates."""
-    ops = mod.raising_ops()
-    out = {}
-    for wt, groups in mod.weight_classes().items():
-        for kap, idxs in groups.items():
-            local = [
-                {i: col for i, c in enumerate(idxs) if (col := op.get(c))} for op in ops
-            ]
-            vecs = joint_kernel(local, len(idxs), mod.p)
-            if vecs:
-                out[(wt, kap)] = [{idxs[i]: c for i, c in v.items()} for v in vecs]
-    return out
+    (wt, comp) -> list of kernel basis vectors in global coordinates, in
+    the class order of weight_classes(): one joint_kernel graded by
+    class, its vectors grouped by the class of their free column."""
+    ops, classes = mod.raising_ops(), mod.weight_classes()
+    keys = [(wt, kap) for wt, groups in classes.items() for kap in groups]
+    cid = [0] * mod.dim
+    for k, (wt, kap) in enumerate(keys):
+        for b in classes[wt][kap]:
+            cid[b] = k
+    found = {}
+    for v in joint_kernel(ops, mod.dim, mod.p, cid):
+        found.setdefault(cid[next(iter(v))], []).append(v)
+    return {keys[k]: found[k] for k in sorted(found)}
 
 
 def _line_closure(mod, vec):

@@ -39,18 +39,21 @@ def _order_type_a_suffix(rs, ld):
 
 def _blocks(rs, ld, indices, lead):
     # one block per simple index a, of the u_J^- roots g with
-    # lead(g) == a: the non-simple roots by height, the simple root last
+    # lead(g) == a: the non-simple roots by height, ties broken toward
+    # the last simple root, then the simple root
     for a in indices:
         row = [g for g in ld.u_roots if lead(g) == a]
-        nons = sorted((g for g in row if g != rs.simple(a)), key=sum)
-        assert len({sum(g) for g in nons}) == len(nons)
-        yield from nons
+        nons = sorted((sum(g), -g[-1], g) for g in row if g != rs.simple(a))
+        assert len({k[:2] for k in nons}) == len(nons)
+        yield from (k[2] for k in nons)
         if rs.simple(a) in row:
             yield rs.simple(a)
 
 
-def _order_type_b(rs, ld):
-    # blocks by leading simple index, from n down to 1
+def _order_type_bd(rs, ld):
+    # blocks by leading simple index, from n down to 1; in the type D
+    # suffix shape that is each u_J^- root's first e-coordinate, and a
+    # tie in height breaks toward the fork root alpha_n
     return list(_blocks(rs, ld, range(rs.n, 0, -1), _min_support))
 
 
@@ -66,25 +69,6 @@ def _order_type_c(rs, ld):
     long_row = [g for g in ld.u_roots if g[rs.n - 1] > 0]
     long_row.sort(key=lambda g: (-_epair(rs, g)[1], -_epair(rs, g)[0]))
     return list(_blocks(rs, ld, range(1, rs.n), _max_support)) + long_row
-
-
-def _order_type_d_suffix(rs, ld):
-    # blocks by leading euclidean index, n-1 down to 1; ties in height
-    # broken toward the fork root, chain simple last in its block
-    n = rs.n
-    out = []
-    for a in range(n - 1, 0, -1):
-        row = [g for g in ld.u_roots if _epair(rs, g)[0] == a]
-        if not row:
-            continue
-        chain = rs.simple(a)
-        rest = [g for g in row if g != chain]
-        rest.sort(key=lambda g: (sum(g), -g[n - 1]))
-        assert len({(sum(g), g[n - 1]) for g in rest}) == len(rest)
-        out.extend(rest)
-        if chain in row:
-            out.append(chain)
-    return out
 
 
 def _order_type_d_chain(rs, ld):
@@ -109,9 +93,9 @@ def _order_type_d_chain(rs, ld):
 _ORDERS = {
     ("A", "prefix"): _order_type_a,
     ("A", "suffix"): _order_type_a_suffix,
-    ("B", "suffix"): _order_type_b,
+    ("B", "suffix"): _order_type_bd,
     ("C", "prefix"): _order_type_c,
-    ("D", "suffix"): _order_type_d_suffix,
+    ("D", "suffix"): _order_type_bd,
     ("D", "chain"): _order_type_d_chain,
 }
 

@@ -17,7 +17,9 @@ straightening recursion, for those row tables and the closed-form B_i;
 and span_closure_depth_first, the last-in, first-out closure loop, for
 the first-in, first-out queue of fplin.span_closure.
 nullspace_reading_all inserts every equation, for the early exit of
-fplin.nullspace.
+fplin.nullspace.  maximal_vectors_per_class solves one small system per
+weight class with no peeling, for the one peeled, class-graded
+elimination of modules.maximal_vectors.
 weyl_dim and simple_dim_low_alcoves give dim L(lam) in closed form on
 the two lowest alcoves, and from root data alone, for the head dims of
 large modules.
@@ -32,7 +34,7 @@ affine_dot_action are read only by tests, so they live here too.
 
 import random
 
-from babyverma.fplin import Echelon, apply_columns, span_closure
+from babyverma.fplin import Echelon, apply_columns, nullspace, span_closure
 from babyverma.modules import (
     HeadModule,
     QuotientModule,
@@ -494,6 +496,25 @@ def nullspace_reading_all(equations, ncols, p):
                 if row.get(f):
                     v[q] = (-row[f]) % p
             out.append(v)
+    return out
+
+
+def maximal_vectors_per_class(mod):
+    """modules.maximal_vectors solved class by class: for each
+    (weight, drop) class, the equations "row i of x_t" on the class's
+    columns go to fplin.nullspace in local coordinates."""
+    ops = mod.raising_ops()
+    out = {}
+    for wt, groups in mod.weight_classes().items():
+        for kap, idxs in groups.items():
+            eqs = {}
+            for t, op in enumerate(ops):
+                for j, b in enumerate(idxs):
+                    for i, c in op.get(b, {}).items():
+                        eqs.setdefault((t, i), {})[j] = c
+            vecs = nullspace(eqs.values(), len(idxs), mod.p)
+            if vecs:
+                out[(wt, kap)] = [{idxs[i]: c for i, c in v.items()} for v in vecs]
     return out
 
 

@@ -300,6 +300,18 @@ def test_subregular_cap_hit_is_a_skipped_row():
     assert not rep["sum_ok"] and not rep["passed"]
 
 
+def test_p_over_cap_refused_only_when_modules_are_built():
+    with pytest.raises(modules.CapExceeded):
+        verify_main_theorem("A", 1, 101, (1,), cap=100)
+    with pytest.raises(modules.CapExceeded):
+        subregular_block_a(7, (1, 2), cap=5)
+    assert subregular_block_a(7, (1, 2), cap=5, build=False)["passed"]
+    # the four-argument call keeps the default cap
+    assert campaigns.check_sweep_params("A", 2, 13, (1,)).n == 2
+    with pytest.raises(modules.CapExceeded):
+        campaigns.check_sweep_params("A", 2, modules.DIM_CAP + 1, (1,))
+
+
 def test_subregular_block_a_closed_forms_random():
     rng = random.Random(7)
     for _ in range(30):

@@ -48,6 +48,21 @@ def test_huge_p_refused_by_cap_before_primality(monkeypatch, capsys):
     assert calls == []
 
 
+def test_campaign_p_over_cap_refused_before_primality(monkeypatch, capsys):
+    # every sweep row's module has dim >= p, so main-theorem refuses p over
+    # its cap without trial division, which p = 2^61 - 1 would not finish
+    calls = []
+    monkeypatch.setattr(campaigns, "is_prime", lambda p: calls.append(p) or True)
+    argv = ["campaign", "main-theorem", "--type", "A", "--rank", "1", "--I", "1"]
+    rc = main(argv + ["--p", "101", "--cap", "100"])
+    assert rc == 2
+    assert "dimension at least 101 exceeds cap 100" in capsys.readouterr().err
+    p = 2**61 - 1
+    assert main(argv + ["--p", str(p)]) == 2
+    assert "dimension at least %d exceeds cap 50000" % p in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("cmd", [["check"], ["dump", "matrix", "--gen", "h1"]])
 @pytest.mark.parametrize("typ", ["B", "C", "D"])
 def test_bad_prime_two_rejected(cmd, typ, capsys):

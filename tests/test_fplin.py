@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _oracles import nullspace_reading_all
+from babyverma import fplin
 from babyverma.fplin import (
     Echelon,
     addmul,
@@ -128,6 +129,93 @@ def test_joint_kernel():
     b = {0: {2: 1}, 1: {0: 3}}
     ker = joint_kernel([a, b], 3, 5)
     assert ker == [{2: 1}]
+
+
+def _kernel_unpeeled(ops, dim, p):
+    # nullspace over the transposed equations "row i of op t", no peel
+    eqs = {}
+    for t, op in enumerate(ops):
+        for j, col in op.items():
+            for i, c in col.items():
+                if c % p:
+                    eqs.setdefault((t, i), {})[j] = c % p
+    return nullspace(eqs.values(), dim, p)
+
+
+def _live_columns(monkeypatch):
+    # the live columns joint_kernel hands to nullspace after its peel
+    seen = []
+
+    def spy(equations, ncols, p, cols=None, grade=None):
+        seen.append(list(cols))
+        return nullspace(equations, ncols, p, cols, grade)
+
+    monkeypatch.setattr(fplin, "nullspace", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "ops, dim, live, kernel",
+    [
+        # full peel, every equation a singleton from the start
+        ([{0: {0: 1}, 1: {1: 3}, 2: {2: 2}}], 3, [], []),
+        # a cascade: row 0 drops x_0, then row 1 drops x_1, then row 2 x_2
+        ([{0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}], 3, [], []),
+        # a stall: no equation has a single live column
+        ([{0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}}], 2, [0, 1], [{0: 4, 1: 1}]),
+        # the entry 5 is 0 mod p: row 0 has no live column, not one
+        ([{0: {0: 5, 1: 1}, 1: {1: 1}}], 2, [0, 1], [{0: 4, 1: 1}]),
+        # a peel that leaves a stall behind: x_2 goes, x_0 + x_1 stays
+        ([{0: {0: 1}, 1: {0: 1}, 2: {0: 1, 1: 1}}, {2: {2: 2}}], 3, [0, 1], [{0: 4, 1: 1}]),
+        # empty ops: all of F_p^dim
+        ([], 2, [0, 1], [{0: 1}, {1: 1}]),
+        # dim 0
+        ([{}], 0, [], []),
+        ([], 0, [], []),
+    ],
+    ids=["full-peel", "cascade", "stall", "zero-mod-p", "peel-then-stall", "no-ops", "dim0", "dim0-no-ops"],
+)
+def test_joint_kernel_peel(monkeypatch, ops, dim, live, kernel):
+    seen = _live_columns(monkeypatch)
+    assert joint_kernel(ops, dim, 5) == kernel == _kernel_unpeeled(ops, dim, 5)
+    assert seen == [live]
+
+
+def _random_sparse_ops(rng, dim, p, classes):
+    # operators homogeneous for the grading j % classes: column j lands
+    # in class (j + 1) % classes, on a random sparse set of rows with
+    # coefficients in 0..2p-1
+    ops = []
+    for _ in range(rng.randrange(1, 4)):
+        op = {}
+        for j in range(dim):
+            rows = [i for i in range(dim) if i % classes == (j + 1) % classes]
+            col = {i: rng.randrange(2 * p) for i in rows if rng.random() < 0.35}
+            if col:
+                op[j] = col
+        ops.append(op)
+    return ops
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
+    # seeded random sparse systems, flat and graded, entries 0 mod p
+    # included: the same vectors, each with its free column first
+    seen = _live_columns(monkeypatch)
+    rng = random.Random(100 + p)
+    stalled = peeled = 0
+    for _ in range(150):
+        dim = rng.randrange(0, 13)
+        classes = rng.randrange(1, 5)
+        ops = _random_sparse_ops(rng, dim, p, classes)
+        want = _kernel_unpeeled(ops, dim, p)
+        assert joint_kernel(ops, dim, p) == want
+        got = joint_kernel(ops, dim, p, [j % classes for j in range(dim)])
+        assert got == want
+        assert [next(iter(v)) for v in got] == [next(iter(v)) for v in want]
+        stalled += len(seen[-1]) > 0
+        peeled += len(seen[-1]) < dim
+    assert stalled > 80 and peeled > 80
 
 
 def test_span_closure_cyclic():

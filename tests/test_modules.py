@@ -14,6 +14,7 @@ from _oracles import (
     classes_per_index,
     drop_int,
     index_of,
+    maximal_vectors_per_class,
     norton_verdict,
     radical_vectors_per_line,
     row_tables_by_recursion,
@@ -1237,6 +1238,28 @@ def test_sweep_rows_match_the_levi_weyl_dim():
                 want = p ** (len(rs.roots) - len(levi)) * weyl_dim(rs, lam, levi)
                 assert mod.dim == want, (typ, rank, p, I, lam)
     assert covered == 147
+
+
+def test_maximal_vectors_match_the_per_class_oracle():
+    # one peeled elimination per module against one nullspace per class,
+    # key order included: the differential set, the first rows of each
+    # sweep family, a quotient by a proper non-maximal submodule and a head
+    mods = _differential_set()
+    for typ, rank, p, I in SWEEP_FAMILIES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        for lam in alg.rs.regular_alcove_weights(p)[:3]:
+            mods.append(build_parabolic_baby_verma(alg, _chi(alg, p, I), lam))
+    z = build_baby_verma(A2, PChar(5, ()), (0, 0))
+    _, lines = modules._kernel_lines(z, 1000)
+    line = next(v for _, v in lines if not generates(z, v))
+    quotient = QuotientModule(z, span_closure([line], z.xy_ops(), 5))
+    top = head(build_baby_verma(B2, PChar(5, ()), (1, 2)))
+    assert isinstance(top, HeadModule)
+    mods += [quotient, top]
+    for mod in mods:
+        got, want = maximal_vectors(mod), maximal_vectors_per_class(mod)
+        assert got == want and list(got) == list(want)
+    assert len(maximal_vectors(quotient)) > 1
 
 
 # ---- Levi root vectors through the family's packed rows ----
