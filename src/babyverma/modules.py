@@ -12,10 +12,13 @@ highest weight: they are built once per (algebra, p, u_J^- order, chi
 on the slots), shared by every module of that family and read-only.
 The weight classes and grades are read from them.  Every other x or y
 generator g acts through one column table over indices, made whole on
-g's first use and held by op_matrix; act_basis reads it.  A Levi root
-vector g normalizes u_J^-, so g (y^a l) = [g, y^a] l + y^a (g l): over a
-base of dim > 1 the table joins g on the base to the family's packed
-rows of [g, .], g's table over TrivialLevi(0).  Others are straightened.
+g's first use and held by op_matrix; act_basis reads it, and a line
+closure reads y columns one at a time.  Over a base of dim > 1, a Levi
+root vector g and a slot's simple x_i join the base to family rows:
+g y^a v_0 straightened over a probe base, v_0 of weight 0 and y_beta v_0
+per Levi root beta, is sum_c y^c P v_0 with P = 1 or y_beta, so g y^a l
+is sum_c y^c P l, plus y^a (g l) for a Levi g, which normalizes u_J^-,
+and lam(l)_i a_s y^(a - e_s) for x_i.  Other keys are straightened.
 The base is any module: the one-dimensional weight space (when the Levi
 part of the weight vanishes mod p) or the simple head of the Levi's own
 restricted highest-weight module, which is head() of that Verma module.
@@ -64,9 +67,11 @@ that the head is simple, which it relies on: HeadNotSimple refuses a
 module outside that premise; its head is the quotient by that sum.
 """
 
+import functools
 import itertools
 import random
 from array import array
+from types import SimpleNamespace
 
 from .fplin import Echelon, addmul, apply_columns, fp_inv, joint_kernel, span_closure
 from .chevalley import PChar
@@ -111,6 +116,17 @@ class TrivialLevi:
         return {}
 
 
+class _Probe(TrivialLevi):
+    """v_0 of weight 0 and v_k = keys[k] v_0 for the Levi y keys keys[1:]."""
+
+    def __init__(self, keys, n):
+        super().__init__((0,) * n)
+        self.dim, self.keys = len(keys), keys
+
+    def act_basis(self, key, b):
+        return {self.keys.index(key): 1} if key in self.keys and not b else {}
+
+
 # ---- module containers ----
 
 
@@ -128,6 +144,10 @@ class ModuleBase:
     def top_rows(self):
         # no transposed x_i rows: radical() and head() close kernel lines
         return None
+
+    def _reader(self, key):
+        # what a line closure reads key's columns through: here its table
+        return self.op_matrix(key)
 
     def xy_ops(self):
         ops = []
@@ -192,7 +212,7 @@ class InducedModule(ModuleBase):
         self._lead, self._mwt, self._mdrop, self._lm = shared[key]
         self._cols = {}
         self._classes = None
-        self._grades = None
+        self._grades = self._sums_mod_p(self._mwt, self._lw)
 
     def _tables(self):
         """Per-rank tables: lead[r], the leading (first nonzero) slot of
@@ -256,8 +276,6 @@ class InducedModule(ModuleBase):
         """Weight mod p of each basis index.  The torus acts diagonally
         and each x/y moves the weight by a root, so the xy action maps
         a weight-homogeneous vector to a weight-homogeneous one."""
-        if self._grades is None:
-            self._grades = self._sums_mod_p(self._mwt, self._lw)
         return self._grades
 
     def drops(self):
@@ -301,49 +319,104 @@ class InducedModule(ModuleBase):
         typ, g = gkey
         if typ == "h" or typ == "y" and g in self.slot:
             return super()._fill(gkey)
-        if (ldim := self.levi.dim) == 1 or g in self.slot:
+        if self.levi.dim == 1 or g in self.slot and sum(g) > 1:
             return self._straighten(gkey)
-        # a Levi root vector: column (r, l) is row r of the family's [g, .]
-        # at l plus g l at r, on disjoint supports
-        off, ranks, coeffs = self._levi_rows(gkey)
-        base = [tuple(self.levi.act_basis(gkey, l).items()) for l in range(ldim)]
-        cols = {}
-        for b, lo, hi in zip(range(0, self.dim, ldim), off, off[1:]):
-            row = [(r2 * ldim, c) for r2, c in zip(ranks[lo:hi], coeffs[lo:hi])]
-            for l, gl in enumerate(base):
-                col = {r2 + l: c for r2, c in row}
-                for l2, c in gl:
-                    col[b + l2] = c
-                if col:
-                    cols[b + l] = col
+        return self._join(gkey)(range(self.dim // self.levi.dim), range(self.levi.dim))
+
+    def _reader(self, key):
+        # y columns made one at a time, never as a table: a slot's through
+        # act_basis, a Levi root's over a base of dim > 1 joined from the
+        # family rows
+        typ, g = key
+        if typ == "y" and key not in self._cols and g in self.slot:
+            return SimpleNamespace(get=functools.partial(self.act_basis, key))
+        if typ == "y" and key not in self._cols and self.levi.dim > 1:
+            cols, ldim = self._join(key), self.levi.dim
+            return SimpleNamespace(get=lambda b: cols((b // ldim,), (b % ldim,)).get(b))
+        return self.op_matrix(key)
+
+    def _join(self, gkey):
+        """cols(ranks, ls): the columns r * levi.dim + l, r in ranks and l
+        in ls, of a Levi root vector g or a slot x_i over a base of dim > 1.
+        Column (r, l) is row r of each part of _levi_rows at P l (at l for
+        the first part), plus g l at r for a Levi g, off the rows' support,
+        or for x_i the h_i = [x_i, y_s] term lam(l)_i a_s y^(a - e_s)."""
+        ldim, p, act, g = self.levi.dim, self.p, self.levi.act_basis, gkey[1]
+        (_, off, rk, cf), *parts = self._levi_rows(gkey)
+        parts = [(rows, [act(q, l).items() for l in range(ldim)]) for q, *rows in parts]
+        own = [() if g in self.slot else act(gkey, l).items() for l in range(ldim)]
+        if s := g in self.slot and self.stride[self.slot[g]]:
+            h = [act(("h", g.index(1) + 1), l).items() for l in range(ldim)]
+
+        def row(r, off, ranks, coeffs):
+            lo, hi = off[r], off[r + 1]
+            return [(r2 * ldim, c) for r2, c in zip(ranks[lo:hi], coeffs[lo:hi])]
+
+        def cols(ranks, ls):
+            out = {}
+            for r in ranks:
+                # the v_0 part, most entries, is read inline and needs no sum
+                lo, hi, b = off[r], off[r + 1], r * ldim
+                k = [(r2 * ldim, c) for r2, c in zip(rk[lo:hi], cf[lo:hi])]
+                rows = [(row(r, *rw), pl) for rw, pl in parts]
+                if s and (d := r // s % p):
+                    rows.append(([(b - s * ldim, d)], h))
+                for l in ls:
+                    col = {r2 + l: c for r2, c in k}
+                    for l2, c in own[l]:
+                        col[b + l2] = c
+                    for rw, pl in rows:
+                        for l2, c2 in pl[l]:
+                            for r2, c in rw:
+                                if v := (col.get(r2 + l2, 0) + c * c2) % p:
+                                    col[r2 + l2] = v
+                                else:
+                                    del col[r2 + l2]
+                    if col:
+                        out[b + l] = col
+            return out
+
         return cols
 
     def _levi_rows(self, gkey):
-        # [g, .] on u_chi(u_J^-): g's straightened table over TrivialLevi(0),
-        # as CSR arrays (offsets, ranks, coefficients), one per family and key
+        # g's columns at v_0 over a _Probe base, packed per probe index as
+        # (P, offsets, ranks, coefficients), P the base action the index
+        # stands for (None at v_0), one list per family and key; a Levi g's
+        # own part, the identity at g v_0, is left to _join
         shared, key = self.alg.module_tables, (self.p, self.order, tuple(self.chival), gkey)
         if key not in shared:
-            zero = InducedModule(self.alg, self.chi, self.order, TrivialLevi((0,) * self.rs.n))
-            tab = zero._straighten(gkey)
-            cols = [tab.get(r, {}) for r in range(zero.dim)]
-            off = array("i", itertools.accumulate(map(len, cols), initial=0))
-            ranks = array("i", [r2 for col in cols for r2 in col])
-            shared[key] = off, ranks, array("i", [c for col in cols for c in col.values()])
+            keys = [None] + [("y", b) for b in self.rs.roots if b not in self.slot]
+            w, probe = len(keys), InducedModule(self.alg, self.chi, self.order, _Probe(keys, self.rs.n))
+            # the probe's Levi y columns that g's brackets read, made as read:
+            # the l = 0 ones alone
+            brk = {k for y in self.order for k in self.alg.bracket(gkey, ("y", y))}
+            probe._cols.update((k, probe._reader(k)) for k in keys if k in brk)
+            cols = probe._straighten(gkey, w)
+            shared[key] = parts = []
+            for t, pk in enumerate(keys):
+                rows = [[(b // w, c) for b, c in cols.get(r * w, {}).items() if b % w == t]
+                        for r in range(self.p**self.m)]
+                if pk is None or pk != gkey and any(rows):
+                    flat = [e for row in rows for e in row]
+                    off = _packed(itertools.accumulate(map(len, rows), initial=0), len(flat) + 1)
+                    parts.append((pk, off, _packed([r for r, _ in flat], len(rows)),
+                                  _packed([c for _, c in flat], self.p)))
         return shared[key]
 
-    def _straighten(self, gkey):
+    def _straighten(self, gkey, step=1):
         # an x or non-slot y key: with j the leading slot of y^a = y_j y^rest,
         #   g y_j y^rest l = y_j (g y^rest l) + [g, y_j] y^rest l,
         # and rest(b) < b, so filling in index order reads only filled
-        # columns.  A bracket key's table is made on its first read, through
-        # op_matrix, and never reads g's own: [x_a, y_c] is h, a y key or an
-        # x key of lower height, and [y_d, y_c] a y key of greater height.
+        # columns; step = levi.dim fills only those at l = 0.  A bracket
+        # key's table is made on its first read, through op_matrix, and never
+        # reads g's own: [x_a, y_c] is h, a y key or an x key of lower height,
+        # and [y_d, y_c] a y key of greater height.
         p, ldim, lead, stride = self.p, self.levi.dim, self._lead, self.stride
         cols = {}
         if gkey[1] not in self.slot:  # an x key of a u_J root kills the base
-            cols = {l: col for l in range(ldim) if (col := self.levi.act_basis(gkey, l))}
+            cols = {l: col for l in range(0, ldim, step) if (col := self.levi.act_basis(gkey, l))}
         brk = [tuple(self.alg.bracket(gkey, ("y", c)).items()) for c in self.order]
-        for b in range(ldim, self.dim):
+        for b in range(ldim, self.dim, step):
             j = lead[b // ldim]
             rest = b - stride[j] * ldim
             tj = self._lm[j]
@@ -395,6 +468,11 @@ class InducedModule(ModuleBase):
             at = _reversed_rows(zero.op_matrix(("x", g)).items(), rev)
             out.append((at, self.stride[self.slot[g]]))
         return out
+
+
+def _packed(values, bound):
+    # values in range(bound), in the narrowest unsigned array that holds them
+    return array("B" if bound <= 1 << 8 else "H" if bound <= 1 << 16 else "I", values)
 
 
 def _through(col, tab):
@@ -656,10 +734,9 @@ def maximal_vectors(mod):
 
 def _line_closure(mod, vec):
     # the closure of vec under the xy action, graded by weight and
-    # stopped once it holds mod.high
-    return span_closure(
-        [vec], mod.xy_ops(), mod.p, dim=mod.dim, grade=mod.grades(), stop=mod.high
-    )
+    # stopped once it holds mod.high; columns read as _reader gives them
+    ops = [mod._reader((t, mod.rs.simple(i))) for i in mod.active for t in "xy"]
+    return span_closure([vec], ops, mod.p, dim=mod.dim, grade=mod.grades(), stop=mod.high)
 
 
 def generates(mod, vec):

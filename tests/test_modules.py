@@ -25,7 +25,7 @@ from _oracles import (
     weight_int,
     weyl_dim,
 )
-from babyverma import modules
+from babyverma import campaigns, modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
 from babyverma.fplin import addmul, span_closure
 from babyverma.modules import (
@@ -1322,13 +1322,19 @@ def test_levi_tables_match_the_straightening(typ, rank, flip, p, I, lam):
         assert all(_levi_rows_made(alg)[k] is v for k, v in rows.items())
 
 
+def _slot_x_keys(mod):
+    # the x keys of the simple roots among the u_J^- slots
+    return [("x", g) for g in mod.order if sum(g) == 1]
+
+
 def test_a_family_shares_its_levi_rows():
-    # two weights of one family read one packed rows object per key, and
-    # nothing the modules run writes into it
+    # two weights of one family read one packed rows object per key, the
+    # slot x_i's included, and nothing the modules run writes into it
     alg = ChevalleyAlgebra(RootSystem("B", 2))
     mods = [build_parabolic_baby_verma(alg, _chi(alg, 5, (2,)), lam) for lam in ((1, 1), (3, 2))]
     assert [mod.levi.dim for mod in mods] == [2, 4]
-    keys = _levi_keys(mods[0])
+    keys = _levi_keys(mods[0]) + _slot_x_keys(mods[0])
+    assert _slot_x_keys(mods[0]) == [("x", (0, 1))]
     rows = {key: mods[0]._levi_rows(key) for key in keys}
     before = _digest(rows)
     for mod in mods:
@@ -1367,3 +1373,125 @@ def test_other_families_get_their_own_levi_rows(chi_a, chi_b):
     # the rows read chi: [x_a2, y_(a1+a2)] is y_a1, whose p-th power wraps
     # to chi(y_a1)^p
     assert a._levi_rows(("x", (0, 1, 0))) != b._levi_rows(("x", (0, 1, 0)))
+
+
+# ---- slot x_i from the family rows; y columns read as closures need them ----
+
+# weights with a Levi head of dim > 1 in ten families, two in each but
+# the B3 one, whose modules reach dim 46 875; those LEVI_HEAD_CASES holds
+# are left out
+SLOT_X_CASES = [
+    (typ, rank, False, p, I, lam)
+    for typ, rank, p, I, lams in [
+        ("A", 2, 7, (1,), [(0, 3), (2, 6)]),
+        ("A", 3, 5, (1,), [(0, 1, 3), (2, 4, 1)]),
+        ("A", 3, 5, (3,), [(1, 2, 0), (3, 3, 2)]),
+        ("A", 3, 5, (1, 2), [(0, 0, 2), (1, 1, 3)]),
+        ("A", 4, 3, (1,), [(0, 1, 1, 0), (1, 2, 0, 1)]),
+        ("B", 2, 7, (2,), [(3, 1), (6, 0)]),
+        ("B", 3, 5, (3,), [(1, 0, 0)]),
+        ("C", 2, 7, (1,), [(0, 3), (1, 5)]),
+        ("C", 3, 5, (1,), [(0, 1, 0), (1, 0, 1)]),
+        ("D", 4, 3, (4,), [(1, 1, 1, 0), (0, 1, 0, 0)]),
+    ]
+    for lam in lams
+    if (typ, rank, False, p, I, lam) not in LEVI_HEAD_CASES
+]
+
+
+@pytest.mark.parametrize(
+    "typ, rank, flip, p, I, lam",
+    LEVI_HEAD_CASES + SLOT_X_CASES,
+    ids=[
+        "%s%d%s-p%d-I%s-lam%s" % (t, n, "-flip" * f, p, "".join(map(str, I)), "".join(map(str, lam)))
+        for t, n, f, p, I, lam in LEVI_HEAD_CASES + SLOT_X_CASES
+    ],
+)
+def test_slot_x_tables_match_the_straightening(typ, rank, flip, p, I, lam):
+    # over a Levi head of dim > 1 a slot x_i's table joins the family's
+    # rows over the probe base to the head's Levi y action, plus
+    # lam(l)_i a_s y^(a - e_s); the straightening loop is the oracle.  The
+    # second module of the family finds every row made and makes none
+    alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+    for made_before in (False, True):
+        mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+        assert mod.levi.dim > 1
+        keys = _slot_x_keys(mod)
+        assert len(keys) == len(mod.chi.I)
+        before = dict(alg.module_tables)
+        for key in keys:
+            assert mod.op_matrix(key) == mod._straighten(key), key
+        family = (p, mod.order, tuple(mod.chival))
+        assert all(family + (key,) in alg.module_tables for key in keys)
+        if made_before:
+            assert alg.module_tables == before
+            assert all(alg.module_tables[k] is v for k, v in before.items())
+
+
+@pytest.mark.parametrize(
+    "typ, rank, flip, p, I, lam",
+    LEVI_HEAD_CASES + [("A", 2, False, 5, (), (1, 3)), ("B", 2, False, 5, (2,), (0, 3))],
+)
+def test_line_closure_y_columns_match_the_tables(typ, rank, flip, p, I, lam):
+    # the columns a line closure reads for each active y_i equal the
+    # column table's, and reading them makes no table; over a base of
+    # dim 1 a Levi root's y_i is read from its table
+    alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+    mod, ref = (build_parabolic_baby_verma(alg, _chi(alg, p, I), lam) for _ in range(2))
+    for i in mod.active:
+        key = ("y", alg.rs.simple(i))
+        reader, table = mod._reader(key), ref.op_matrix(key)
+        assert all((reader.get(b) or {}) == table.get(b, {}) for b in range(mod.dim)), key
+        assert (key in mod._cols) == (mod.levi.dim == 1 and key[1] not in mod.slot)
+
+
+def test_closures_through_y_readers_decide_as_through_tables(monkeypatch):
+    # reports, witness dims and radical rows on the differential set and
+    # the parabolic heads item, against line closures that read every
+    # operator from its column table
+    def decide():
+        mods = _differential_set() + [build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))]
+        out = []
+        for mod in mods:
+            rep = is_irreducible(mod)
+            out.append((rep.to_dict(), rep.witness_dim, radical(mod).rows))
+        return out
+
+    lazy = decide()
+    assert sum(not d["irreducible"] for d, _, _ in lazy) > 100
+    monkeypatch.setattr(modules.InducedModule, "_reader", modules.ModuleBase._reader)
+    assert decide() == lazy
+
+
+def test_sweep_rows_over_levi_heads_straighten_nothing(monkeypatch):
+    # a campaign row over a Levi head of dim > 1 straightens no key of its
+    # module and makes no y table: slot x_i and the Levi root vectors join
+    # the family rows, and the line closures read y columns one at a time.
+    # A second weight of the family makes no family rows and straightens
+    # nothing at all
+    rs = RootSystem("A", 3)
+    lams = [lam for lam in rs.regular_alcove_weights(5) if lam[1] % 5 or lam[2] % 5][:2]
+    built, straightened = [], []
+    build, straighten = campaigns.build_parabolic_baby_verma, modules.InducedModule._straighten
+
+    def spy_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def spy_straighten(self, key, *args):
+        straightened.append((self, key))
+        return straighten(self, key, *args)
+
+    monkeypatch.setattr(campaigns, "build_parabolic_baby_verma", spy_build)
+    monkeypatch.setattr(modules.InducedModule, "_straighten", spy_straighten)
+    tables = campaigns._algebra("A", 3).module_tables
+    for second, lam in enumerate(lams):
+        del straightened[:]
+        before = dict(tables)
+        row = campaigns.analyze_weight("A", 3, 5, (1,), lam)
+        mod = built[-1]
+        assert row["verdict"] == "irreducible" and mod.levi.dim > 1
+        assert [key for o, key in straightened if o is mod] == []
+        assert [key for key in mod._cols if key[0] == "y"] == []
+        if second:
+            assert straightened == [] and tables == before
