@@ -295,12 +295,14 @@ class InducedModule(ModuleBase):
         return [s for i in rid for s in sums[i]]
 
     def act_basis(self, gkey, b):
-        """Action of a basis generator on the basis vector of index b,
-        as {index: coeff}: h reads the grades, a u_J^- root vector its
-        slot table _lm, any other key column b of its table in _cols,
-        which op_matrix makes on the key's first use.  The dict may be
-        shared (the family's _lm entry when levi.dim == 1, or the table's
-        column): no caller may mutate it."""
+        """Action of a basis generator on the basis vector of index b, as
+        {index: coeff}: column b of the key's table once made, which equals
+        what follows; else h reads the grades, a u_J^- root vector its slot
+        table _lm, any other key makes its table by op_matrix.  The dict may
+        be shared (an _lm entry, or a table's column): no caller may mutate it."""
+        cols = self._cols.get(gkey)
+        if cols is not None:
+            return cols.get(b) or {}
         typ, g = gkey
         if typ == "h":
             c = self.grades()[b][g - 1]
@@ -312,8 +314,7 @@ class InducedModule(ModuleBase):
             r, l = divmod(b, ldim)
             col = self._lm[k][r]
             return col if ldim == 1 else {r2 * ldim + l: c for r2, c in col.items()}
-        cols = self._cols.get(gkey)
-        return (self.op_matrix(gkey) if cols is None else cols).get(b) or {}
+        return self.op_matrix(gkey).get(b) or {}
 
     def _fill(self, gkey):
         typ, g = gkey
@@ -391,16 +392,16 @@ class InducedModule(ModuleBase):
             # the l = 0 ones alone
             brk = {k for y in self.order for k in self.alg.bracket(gkey, ("y", y))}
             probe._cols.update((k, probe._reader(k)) for k in keys if k in brk)
-            cols = probe._straighten(gkey, w)
-            shared[key] = parts = []
-            for t, pk in enumerate(keys):
-                rows = [[(b // w, c) for b, c in cols.get(r * w, {}).items() if b % w == t]
-                        for r in range(self.p**self.m)]
-                if pk is None or pk != gkey and any(rows):
-                    flat = [e for row in rows for e in row]
-                    off = _packed(itertools.accumulate(map(len, rows), initial=0), len(flat) + 1)
-                    parts.append((pk, off, _packed([r for r, _ in flat], len(rows)),
-                                  _packed([c for _, c in flat], self.p)))
+            cols, n = probe._straighten(gkey, w), self.p**self.m
+            # one pass groups the entries by probe index, (rank, coeff) flat
+            flat, cnt = [[] for _ in keys], [[0] * (n + 1) for _ in keys]
+            for r in range(n):
+                for b, c in cols.get(r * w, {}).items():
+                    flat[b % w] += (b // w, c)
+                    cnt[b % w][r + 1] += 1
+            shared[key] = [(pk, _packed(itertools.accumulate(cnt[t]), len(flat[t]) // 2 + 1),
+                            _packed(flat[t][::2], n), _packed(flat[t][1::2], self.p))
+                           for t, pk in enumerate(keys) if pk is None or pk != gkey and flat[t]]
         return shared[key]
 
     def _straighten(self, gkey, step=1):
@@ -954,43 +955,47 @@ class AdjointModule:
         }
 
 
-def _apply(mod, key, vec):
-    """Image of vec under one basis generator, through act_basis."""
-    out = {}
-    for b, c in vec.items():
-        addmul(out, mod.act_basis(key, b), c, mod.p)
-    return out
+def _image(acc, col, vec, scale=1):
+    # acc += scale * g.vec, not reduced mod p, g's columns read through col
+    for j, c in vec.items():
+        c *= scale
+        for i, d in col(j).items():
+            acc[i] = acc.get(i, 0) + c * d
+    return acc
 
 
 def verify_commutators(mod, seed=0):
     """Check rho([a,b]) = rho(a)rho(b) - rho(b)rho(a) on basis vectors.
     Exhaustive over all generator pairs and all basis vectors up to
-    EXHAUSTIVE_LIMIT, SAMPLES sampled triples beyond."""
-    p = mod.p
-    keys = list(mod.alg.basis)
+    EXHAUSTIVE_LIMIT, SAMPLES sampled triples beyond.  A triple sums
+    a.(b.c) - b.(a.c) - [a,b].c unreduced, or [a,a].c alone at a == b, and
+    tests it mod p.  Exhaustive checks read each column through act_basis
+    once; sampled triples seldom meet a column twice, so none is kept."""
+    p, keys = mod.p, list(mod.alg.basis)
+    n = len(keys)
+    # by key position: column readers, and each bracket's terms as (reader, coeff)
+    cols = [functools.partial(mod.act_basis, k) for k in keys]
     if mod.dim <= EXHAUSTIVE_LIMIT:
-        triples = (
-            (a, b, c)
-            for ai, a in enumerate(keys)
-            for b in keys[ai + 1 :]
-            for c in range(mod.dim)
-        )
+        cols = [functools.cache(col) for col in cols]
+        triples = ((a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(mod.dim))
     else:
         rng = random.Random(seed)
         triples = (
-            (keys[rng.randrange(len(keys))], keys[rng.randrange(len(keys))],
-             rng.randrange(mod.dim))
-            for _ in range(SAMPLES)
+            (rng.randrange(n), rng.randrange(n), rng.randrange(mod.dim)) for _ in range(SAMPLES)
         )
+    pos = {k: i for i, k in enumerate(keys)}
+    brk = [[[(cols[pos[k]], cf) for k, cf in mod.alg.bracket(a, b).items()] for b in keys]
+           for a in keys]
     for a, b, c in triples:
-        lhs = _apply(mod, a, mod.act_basis(b, c))
-        addmul(lhs, _apply(mod, b, mod.act_basis(a, c)), -1, p)
-        rhs = {}
-        for k, cf in mod.alg.bracket(a, b).items():
-            addmul(rhs, mod.act_basis(k, c), cf, p)
-        if lhs != rhs:
+        acc = {}
+        if a != b:
+            _image(_image(acc, cols[a], cols[b](c)), cols[b], cols[a](c), -1)
+        for col, cf in brk[a][b]:
+            for i, d in col(c).items():
+                acc[i] = acc.get(i, 0) - cf * d
+        if any(x % p for x in acc.values()):
             raise AssertionError(
-                "commutator mismatch at (%r, %r) on basis %d" % (a, b, c)
+                "commutator mismatch at (%r, %r) on basis %d" % (keys[a], keys[b], c)
             )
     return True
 
@@ -998,7 +1003,11 @@ def verify_commutators(mod, seed=0):
 def verify_frobenius(mod, seed=0):
     """Check the p-th power laws on the module: x_g^p = 0,
     y_g^p = chi(y_g)^p, h_i^p = h_i as operators, on every basis
-    vector up to SAMPLE_LIMIT and on that many sampled ones beyond."""
+    vector up to SAMPLE_LIMIT and on that many sampled ones beyond.
+    Columns are read through act_basis once per key; a chain step sums
+    unreduced and reduces once.  The chain is s * v: c e_j moves to column j
+    itself, read-only, times c, and if g e_j = d e_j ends as c d^(p-k) e_j
+    after k steps, so h reads one column per basis vector."""
     p = mod.p
     if mod.dim <= SAMPLE_LIMIT:
         idxs = range(mod.dim)
@@ -1007,17 +1016,21 @@ def verify_frobenius(mod, seed=0):
         idxs = sorted(rng.sample(range(mod.dim), SAMPLE_LIMIT))
     for key in mod.alg.basis:
         scalar = pow(mod.chi.at_root(key[1]), p, p) if key[0] == "y" else 0
+        col = functools.cache(functools.partial(mod.act_basis, key))
         for b in idxs:
-            v = {b: 1}
-            for _ in range(p):
-                if not v:  # g.0 = 0: the chain ends at 0
-                    break
-                v = _apply(mod, key, v)
-            if key[0] == "h":
-                want = mod.act_basis(key, b)
-            else:
-                want = {b: scalar} if scalar else {}
-            if v != want:
+            v, s, k = {b: 1}, 1, 0
+            while v and k < p:  # g.0 = 0: a chain at 0 ends there
+                if len(v) == 1:
+                    ((j, c),) = v.items()
+                    cj = col(j)
+                    if len(cj) == 1 and j in cj:
+                        v, s = cj, s * c * pow(cj[j], p - k - 1, p)
+                        break
+                    v, s, k = cj, s * c % p, k + 1
+                    continue
+                v, s, k = {i: x for i, y in _image({}, col, v, s).items() if (x := y % p)}, 1, k + 1
+            want = col(b) if key[0] == "h" else {b: scalar} if scalar else {}
+            if {i: x for i, y in v.items() if (x := y * s % p)} != want:
                 raise AssertionError(
                     "p-th power law fails for %r at basis %d" % (key, b)
                 )

@@ -20,6 +20,12 @@ nullspace_reading_all inserts every equation, for the early exit of
 fplin.nullspace.  maximal_vectors_per_class solves one small system per
 weight class with no peeling, for the one peeled, class-graded
 elimination of modules.maximal_vectors.
+verify_commutators_by_apply and verify_frobenius_by_apply read
+act_basis at every step and reduce every sum, for the per-key column
+memo and closed forms of modules.verify_commutators and
+verify_frobenius; levi_rows_per_index packs the probe's columns with one
+pass per probe index, for the single grouping pass of
+InducedModule._levi_rows.
 weyl_dim and simple_dim_low_alcoves give dim L(lam) in closed form on
 the two lowest alcoves, and from root data alone, for the head dims of
 large modules.
@@ -32,14 +38,19 @@ decompose_weight, in_first_dominant_alcove, is_p_regular and
 affine_dot_action are read only by tests, so they live here too.
 """
 
+import itertools
 import random
 
-from babyverma.fplin import Echelon, apply_columns, nullspace, span_closure
+from babyverma import modules
+from babyverma.fplin import Echelon, addmul, apply_columns, nullspace, span_closure
 from babyverma.modules import (
     HeadModule,
+    InducedModule,
     QuotientModule,
     TrivialLevi,
     _kernel_lines,
+    _packed,
+    _Probe,
     _reversed_rows,
     _through,
     generates,
@@ -516,6 +527,96 @@ def maximal_vectors_per_class(mod):
             if vecs:
                 out[(wt, kap)] = [{idxs[i]: c for i, c in v.items()} for v in vecs]
     return out
+
+
+def _apply(mod, key, vec):
+    # image of vec under one basis generator, through act_basis
+    out = {}
+    for b, c in vec.items():
+        addmul(out, mod.act_basis(key, b), c, mod.p)
+    return out
+
+
+def verify_commutators_by_apply(mod, seed=0):
+    """modules.verify_commutators reading act_basis at every step and
+    reducing every sum mod p: the same triples, in the same order."""
+    p = mod.p
+    keys = list(mod.alg.basis)
+    if mod.dim <= modules.EXHAUSTIVE_LIMIT:
+        triples = (
+            (a, b, c)
+            for ai, a in enumerate(keys)
+            for b in keys[ai + 1 :]
+            for c in range(mod.dim)
+        )
+    else:
+        rng = random.Random(seed)
+        triples = (
+            (keys[rng.randrange(len(keys))], keys[rng.randrange(len(keys))],
+             rng.randrange(mod.dim))
+            for _ in range(modules.SAMPLES)
+        )
+    for a, b, c in triples:
+        lhs = _apply(mod, a, mod.act_basis(b, c))
+        addmul(lhs, _apply(mod, b, mod.act_basis(a, c)), -1, p)
+        rhs = {}
+        for k, cf in mod.alg.bracket(a, b).items():
+            addmul(rhs, mod.act_basis(k, c), cf, p)
+        if lhs != rhs:
+            raise AssertionError(
+                "commutator mismatch at (%r, %r) on basis %d" % (a, b, c)
+            )
+    return True
+
+
+def verify_frobenius_by_apply(mod, seed=0):
+    """modules.verify_frobenius applying each power chain step by step
+    through act_basis, with no column memo and no closed form: the same
+    basis vectors, in the same order."""
+    p = mod.p
+    if mod.dim <= modules.SAMPLE_LIMIT:
+        idxs = range(mod.dim)
+    else:
+        rng = random.Random(seed)
+        idxs = sorted(rng.sample(range(mod.dim), modules.SAMPLE_LIMIT))
+    for key in mod.alg.basis:
+        scalar = pow(mod.chi.at_root(key[1]), p, p) if key[0] == "y" else 0
+        for b in idxs:
+            v = {b: 1}
+            for _ in range(p):
+                if not v:  # g.0 = 0: the chain ends at 0
+                    break
+                v = _apply(mod, key, v)
+            if key[0] == "h":
+                want = mod.act_basis(key, b)
+            else:
+                want = {b: scalar} if scalar else {}
+            if v != want:
+                raise AssertionError(
+                    "p-th power law fails for %r at basis %d" % (key, b)
+                )
+    return True
+
+
+def levi_rows_per_index(mod, gkey):
+    """InducedModule._levi_rows of gkey from a probe straightened afresh,
+    packed with one pass over every probe column per probe index."""
+    keys = [None] + [("y", b) for b in mod.rs.roots if b not in mod.slot]
+    w, n = len(keys), mod.p**mod.m
+    probe = InducedModule(mod.alg, mod.chi, mod.order, _Probe(keys, mod.rs.n))
+    brk = {k for y in mod.order for k in mod.alg.bracket(gkey, ("y", y))}
+    probe._cols.update((k, probe._reader(k)) for k in keys if k in brk)
+    cols = probe._straighten(gkey, w)
+    parts = []
+    for t, pk in enumerate(keys):
+        rows = [[(b // w, c) for b, c in cols.get(r * w, {}).items() if b % w == t]
+                for r in range(n)]
+        if pk is None or pk != gkey and any(rows):
+            flat = [e for row in rows for e in row]
+            off = _packed(itertools.accumulate(map(len, rows), initial=0), len(flat) + 1)
+            parts.append((pk, off, _packed([r for r, _ in flat], n),
+                          _packed([c for _, c in flat], mod.p)))
+    return parts
 
 
 def check_stable(mod, sub):

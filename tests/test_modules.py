@@ -1,5 +1,6 @@
 """Induced modules: construction, action correctness, irreducibility."""
 
+import ast
 import hashlib
 import inspect
 import itertools
@@ -14,6 +15,7 @@ from _oracles import (
     classes_per_index,
     drop_int,
     index_of,
+    levi_rows_per_index,
     maximal_vectors_per_class,
     norton_verdict,
     radical_vectors_per_line,
@@ -22,6 +24,8 @@ from _oracles import (
     sl2_matrices,
     span_closure_depth_first,
     vector_at,
+    verify_commutators_by_apply,
+    verify_frobenius_by_apply,
     weight_int,
     weyl_dim,
 )
@@ -29,6 +33,7 @@ from babyverma import campaigns, modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
 from babyverma.fplin import addmul, span_closure
 from babyverma.modules import (
+    AdjointModule,
     CapExceeded,
     HeadModule,
     HeadNotSimple,
@@ -1495,3 +1500,170 @@ def test_sweep_rows_over_levi_heads_straighten_nothing(monkeypatch):
         assert [key for key in mod._cols if key[0] == "y"] == []
         if second:
             assert straightened == [] and tables == before
+
+
+@pytest.mark.parametrize(
+    "typ, rank, flip, p, I, lam",
+    LEVI_HEAD_CASES,
+    ids=[
+        "%s%d%s-p%d-I%s-lam%s" % (t, n, "-flip" * f, p, "".join(map(str, I)), "".join(map(str, lam)))
+        for t, n, f, p, I, lam in LEVI_HEAD_CASES
+    ],
+)
+def test_levi_rows_match_the_per_index_packer(typ, rank, flip, p, I, lam):
+    # the packed rows of every Levi key and slot x_i, grouped in one pass,
+    # byte for byte against one pass over the probe's columns per index
+    alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+    mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+    for key in _levi_keys(mod) + _slot_x_keys(mod):
+        got, want = mod._levi_rows(key), levi_rows_per_index(mod, key)
+        assert [pk for pk, *_ in got] == [pk for pk, *_ in want], key
+        for (_, *arrays), (_, *oracle) in zip(got, want):
+            assert [(a.typecode, a.tobytes()) for a in arrays] == [
+                (a.typecode, a.tobytes()) for a in oracle
+            ], key
+
+
+# ---- representation checks on one memoised column kernel ----
+
+
+def _check_outcomes(mod):
+    # (commutators, Frobenius) outcomes, True or the AssertionError
+    # message, of the column kernel and of the step-by-step oracles
+    out = []
+    for checks in ((verify_commutators, verify_frobenius),
+                   (verify_commutators_by_apply, verify_frobenius_by_apply)):
+        row = []
+        for check in checks:
+            try:
+                row.append(check(mod))
+            except AssertionError as err:
+                row.append(str(err))
+        out.append(row)
+    return out
+
+
+def test_verify_checks_match_the_oracles():
+    # the 209 Borel modules of the differential set are g-modules and
+    # pass; its 7 Levi Verma modules are modules of the Levi alone, so
+    # both sides fail there on the same triple.  A head, a quotient,
+    # the adjoint modules, B2 p=13 I={2} lam=(0,0), dim 2197, where both
+    # checks sample, and two modules with chi(y) = 3 and 2, whose y chains
+    # carry a coefficient other than 1 to the end, pass
+    passed = failed = 0
+    for mod in _differential_set():
+        new, old = _check_outcomes(mod)
+        assert new == old, (mod.lam, mod.active, new, old)
+        if len(mod.active) == mod.rs.n:
+            assert new == [True, True]
+            passed += 1
+        else:
+            assert new[0].startswith("commutator mismatch")
+            failed += 1
+    assert (passed, failed) == (209, 7)
+    hd = head(build_baby_verma(A2, PChar(3, []), (1, 0)))
+    q = head(build_parabolic_baby_verma(A2, _chi(A2, 5, (1,)), (0, 1)))
+    assert isinstance(hd, HeadModule) and isinstance(q, QuotientModule)
+    big = build_parabolic_baby_verma(B2, _chi(B2, 13, (2,)), (0, 0))
+    assert big.dim == 2197 > modules.SAMPLE_LIMIT > modules.EXHAUSTIVE_LIMIT
+    others = [AdjointModule(alg, p) for alg in (A2, B2) for p in (13, 5)] + [
+        build_baby_verma(A1, PChar(5, [1], {1: 3}), (3,)),
+        build_parabolic_baby_verma(A2, _chi(A2, 5, (1,), {1: 2}), (0, 1)),
+    ]
+    for mod in [hd, q, big] + others:
+        assert _check_outcomes(mod) == [[True, True]] * 2
+
+
+def _faulty(mod, key, b, col):
+    # mod with column b of key replaced by col, through act_basis
+    act = mod.act_basis
+
+    def wrong(k, c):
+        return col if (k, c) == (key, b) else act(k, c)
+
+    mod.act_basis = wrong
+    return mod
+
+
+def test_verify_checks_fail_as_the_oracles_on_a_wrong_column():
+    # one corrupted column at a time on A2 p=5 I={1} lam=(0,1), dim 50,
+    # where both checks are exhaustive: both sides return or raise alike.
+    # Every table is made first, so only the checks read the fault
+    def fresh():
+        mod = build_parabolic_baby_verma(A2, _chi(A2, 5, (1,)), (0, 1))
+        for key in A2.basis:
+            mod.op_matrix(key)
+        return mod
+
+    mod = fresh()
+    x, y, h = ("x", A2.rs.simple(1)), ("y", A2.rs.simple(1)), ("h", 1)
+    xy = ("x", (1, 1))
+    assert mod.chi.at_root(y[1]) == 1 and len(mod.act_basis(y, 7)) == 1
+    b = next(b for b in range(mod.dim) if mod.act_basis(h, b))
+    d = mod.act_basis(h, b)[b]
+    bx = next(b for b in range(mod.dim) if mod.act_basis(xy, b))
+    ((i, c), *rest) = mod.act_basis(xy, bx).items()
+    faults = [
+        (x, 7, {7: 1}),  # x_alpha fixes e_7: its chain never dies
+        (y, 7, {}),  # at chi(y_alpha) = 1 the y chain dies before p steps
+        (h, b, {b: d, (b + 1) % mod.dim: 1}),  # not diagonal
+        (h, b, {b: d % 5 + 1}),  # diagonal, wrong value
+        (xy, bx, dict([(i, c % 5 + 1), *rest])),  # a bracket key's entry
+    ]
+    outcomes = []
+    for fault in faults:
+        new, old = _check_outcomes(_faulty(fresh(), *fault))
+        assert new == old, fault
+        assert new != [True, True], fault
+        outcomes.append(new)
+    # a diagonal h column with any value mod p satisfies h^p = h
+    assert outcomes[3][1] is True
+
+
+def test_sampled_commutators_check_a_with_itself(monkeypatch):
+    # dim 2197 samples triples, some with a == b: a bracket table that
+    # gives [a, a] = h_1 must fail there, on both sides, at the same triple
+    alg = ChevalleyAlgebra(RootSystem("B", 2))
+    mod = build_parabolic_baby_verma(alg, _chi(alg, 13, (2,)), (0, 0))
+    assert mod.dim > modules.EXHAUSTIVE_LIMIT
+    bracket = alg.bracket
+    monkeypatch.setattr(alg, "bracket", lambda a, b: {("h", 1): 1} if a == b else bracket(a, b))
+    msgs = []
+    for check in (verify_commutators, verify_commutators_by_apply):
+        with pytest.raises(AssertionError, match="commutator mismatch") as err:
+            check(mod)
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1]
+    a, b = ast.literal_eval(msgs[0][len("commutator mismatch at "):msgs[0].index(" on basis")])
+    assert a == b
+
+
+def _key_kind(mod, key):
+    if key[0] == "h":
+        return "h"
+    if key[1] not in mod.slot:
+        return "Levi " + key[0]
+    return "slot %s, base dim %s" % (key[0], 1 if mod.levi.dim == 1 else "> 1")
+
+
+def test_act_basis_reads_the_same_columns_from_a_made_table():
+    # act_basis reads a made table first; every kind of key gives the
+    # same column before op_matrix makes its table and after
+    mods = _differential_set() + [
+        build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+        for alg, p, I, lam in [
+            (B2, 5, (2,), (1, 1)), (ChevalleyAlgebra(RootSystem("A", 3)), 5, (1,), (0, 1, 3))
+        ]
+    ]
+    kinds = set()
+    for mod in mods:
+        for key in mod.alg.basis:
+            before = [mod.act_basis(key, b) for b in range(mod.dim)]
+            table = mod.op_matrix(key)
+            assert mod._cols[key] is table
+            assert [mod.act_basis(key, b) for b in range(mod.dim)] == before, key
+            kinds.add(_key_kind(mod, key))
+    assert kinds == {
+        "h", "Levi x", "Levi y", "slot x, base dim 1", "slot x, base dim > 1",
+        "slot y, base dim 1", "slot y, base dim > 1",
+    }
