@@ -10,7 +10,12 @@ act through it alone, on the y^a factor.  These tables and the weight
 and drop shift of each monomial, stored mod p, do not depend on the
 highest weight: they are built once per (algebra, p, u_J^- order, chi
 on the slots), shared by every module of that family and read-only.
-The weight classes and grades are read from them.  Every other x or y
+The grades and drops, so the weight classes, are read from them with no
+tuple arithmetic per index: the family numbers its distinct (weight,
+drop) shifts and packs each in base-2p digits; a module adds the
+base's packed weight or drop at l (no carry), reduces each sum once
+through a family memo that grows, and index r * levi.dim + l takes the
+sum at (id of r, l).  Every other x or y
 generator g acts through one column table over indices, made whole on
 g's first use and held by op_matrix; act_basis reads it, and a line
 closure reads y columns one at a time.  Over a base of dim > 1, a Levi
@@ -208,11 +213,12 @@ class InducedModule(ModuleBase):
         shared = alg.module_tables
         key = (self.p, self.order, tuple(self.chival))
         if key not in shared:
-            shared[key] = self._tables()
-        self._lead, self._mwt, self._mdrop, self._lm = shared[key]
+            tabs = self._tables()
+            shared[key] = tabs + (_residue_ids(tabs[1], tabs[2], self.p),)
+        self._lead, self._mwt, self._mdrop, self._lm, self._res = shared[key]
         self._cols = {}
         self._classes = None
-        self._grades = self._sums_mod_p(self._mwt, self._lw)
+        self._grades = self._sums_mod_p(0, self._lw)
 
     def _tables(self):
         """Per-rank tables: lead[r], the leading (first nonzero) slot of
@@ -281,18 +287,16 @@ class InducedModule(ModuleBase):
     def drops(self):
         """Drop mod p of each basis index: how far its vector lies below
         the highest one, in simple-root coordinates."""
-        return self._sums_mod_p(self._mdrop, self._ld)
+        return self._sums_mod_p(1, self._ld)
 
-    def _sums_mod_p(self, per_rank, per_levi):
-        # per_rank[r] + per_levi[l] mod p at each index r * levi.dim + l,
-        # one shared tuple per distinct (per_rank[r], l): per_rank holds residues
-        p = self.p
-        ids = {}
-        rid = [ids.setdefault(w, len(ids)) for w in per_rank]
-        sums = [
-            [tuple([(a + b) % p for a, b in zip(k, w)]) for w in per_levi] for k in ids
-        ]
-        return [s for i in rid for s in sums[i]]
+    def _sums_mod_p(self, kind, per_levi):
+        # at index r * levi.dim + l, the weight (kind 0) or drop (kind 1) of y^r
+        # plus per_levi[l] mod p: a packed sum per (id, l), reduced by the memo
+        ids, packed, memo = self._res
+        p, n = self.p, self.rs.n
+        cols = [[memo.get(s) or memo.setdefault(s, _unpack(s, p, n))
+                 for s in map(_pack(t, p).__add__, packed[kind])] for t in per_levi]
+        return list(itertools.chain.from_iterable(zip(*[map(c.__getitem__, ids) for c in cols])))
 
     def act_basis(self, gkey, b):
         """Action of a basis generator on the basis vector of index b, as
@@ -469,6 +473,24 @@ class InducedModule(ModuleBase):
             at = _reversed_rows(zero.op_matrix(("x", g)).items(), rev)
             out.append((at, self.stride[self.slot[g]]))
         return out
+
+
+def _residue_ids(mwt, mdrop, p):
+    # per rank, the dense id of its (weight, drop) pair; per id, the two
+    # packed; a memo from a packed sum, of either kind, to its residues
+    pairs = {}
+    ids = [pairs.setdefault(wd, len(pairs)) for wd in zip(mwt, mdrop)]
+    return ids, [[_pack(t, p) for t in kind] for kind in zip(*pairs)], {}
+
+
+def _pack(t, p):
+    # t's residues in base-2p digits, first most significant: two add with no carry
+    return functools.reduce(lambda s, v: s * 2 * p + v % p, t, 0)
+
+
+def _unpack(s, p, n):
+    # the n base-2p digits of s, each reduced mod p
+    return tuple(s // (2 * p) ** (n - 1 - i) % (2 * p) % p for i in range(n))
 
 
 def _packed(values, bound):
@@ -666,13 +688,21 @@ class HeadModule(_Kept):
 def build_levi_simple(alg, p, I, lam):
     """Simple head of the Levi's restricted highest-weight module at
     lam, as a base module for the parabolic induction: TrivialLevi when
-    it is one-dimensional, else head() of the Levi's Verma module."""
+    it is one-dimensional, else head() of the Levi's Verma module.
+    HeadNotSimple is raised unless the head's only maximal line is at its
+    high: at chi = 0 every nonzero submodule holds a maximal vector, and
+    the top generates, so this shows the head simple and the radical
+    maximal, but not that the maximal submodule is unique."""
     ld = LeviDatum(alg.rs, I)
     lam = tuple(int(x) for x in lam)
     if all(lam[j - 1] % p == 0 for j in ld.J):
         return TrivialLevi(lam)
     chi0 = PChar(p, ())
-    return head(InducedModule(alg, chi0, ld.levi_roots, TrivialLevi(lam), active=ld.J))
+    hd = head(InducedModule(alg, chi0, ld.levi_roots, TrivialLevi(lam), active=ld.J))
+    lines = [v for vecs in maximal_vectors(hd).values() for v in vecs]
+    if len(lines) != 1 or set(lines[0]) != {hd.high}:
+        raise HeadNotSimple("Levi head has %d maximal lines, not one at its top" % len(lines))
+    return hd
 
 
 def build_parabolic_baby_verma(alg, chi, lam, cap=DIM_CAP, order=None, levi=None):

@@ -20,6 +20,9 @@ nullspace_reading_all inserts every equation, for the early exit of
 fplin.nullspace.  maximal_vectors_per_class solves one small system per
 weight class with no peeling, for the one peeled, class-graded
 elimination of modules.maximal_vectors.
+classes_by_tuple_sums adds residue tuples per index and groups the
+tuple pairs, for the grades, drops and weight classes an InducedModule
+reads from its family's residue ids.
 verify_commutators_by_apply and verify_frobenius_by_apply read
 act_basis at every step and reduce every sum, for the per-key column
 memo and closed forms of modules.verify_commutators and
@@ -617,6 +620,28 @@ def levi_rows_per_index(mod, gkey):
             parts.append((pk, off, _packed([r for r, _ in flat], n),
                           _packed([c for _, c in flat], mod.p)))
     return parts
+
+
+def classes_by_tuple_sums(mod):
+    """Grades, drops and weight classes of an InducedModule by the
+    per-index tuple pass it made them by before it read family residue
+    ids: per_rank[r] + per_levi[l] mod p at each index r * levi.dim + l,
+    one tuple sum per distinct (per_rank[r], l), then every index's
+    (weight, drop) grouped in one ascending pass."""
+    p = mod.p
+
+    def sums_mod_p(per_rank, per_levi):
+        ids = {}
+        rid = [ids.setdefault(w, len(ids)) for w in per_rank]
+        sums = [[tuple([(a + b) % p for a, b in zip(k, w)]) for w in per_levi] for k in ids]
+        return [s for i in rid for s in sums[i]]
+
+    grades = sums_mod_p(mod._mwt, mod.levi.grades())
+    drops = sums_mod_p(mod._mdrop, mod.levi.drops())
+    classes = {}
+    for b, (wt, kap) in enumerate(zip(grades, drops)):
+        classes.setdefault(wt, {}).setdefault(kap, []).append(b)
+    return grades, drops, classes
 
 
 def check_stable(mod, sub):

@@ -12,6 +12,7 @@ import pytest
 from _oracles import (
     annihilator_of_top_by_columns,
     check_stable,
+    classes_by_tuple_sums,
     classes_per_index,
     drop_int,
     index_of,
@@ -621,9 +622,13 @@ def test_one_cold_call_fills_the_whole_table(monkeypatch):
 def test_one_cold_call_makes_each_table_through_op_matrix_once(monkeypatch):
     # every column table a cold x_(a1+2a2) read makes, its bracket keys'
     # and the Levi Verma module's behind the 2-dim head included, passes
-    # through ModuleBase.op_matrix exactly once, and _cols holds it
+    # through ModuleBase.op_matrix exactly once, and _cols holds it.  The
+    # head's raising table is made before, when build_levi_simple checks
+    # that the head is simple
     mod = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
     assert mod.levi.dim == 2
+    made = {id(mod.levi): set(mod.levi._cols)}
+    assert made[id(mod.levi)] == {("x", (1, 0))}
     calls = []
     op_matrix = modules.ModuleBase.op_matrix
     monkeypatch.setattr(
@@ -637,7 +642,7 @@ def test_one_cold_call_makes_each_table_through_op_matrix_once(monkeypatch):
     owners = {id(o): o for o, _ in calls}
     assert len(owners) > 1
     for o in owners.values():
-        assert {k for o2, k in calls if o2 is o} == set(o._cols)
+        assert {k for o2, k in calls if o2 is o} == set(o._cols) - made.get(id(o), set())
 
 
 def test_a3_p7_dim_33614_decides():
@@ -960,6 +965,53 @@ def test_classes_and_grades_match_the_per_index_reading():
         assert all(0 <= v < p for t in (mod._mwt, mod._mdrop) for w in t for v in w)
 
 
+def _classes_listed(mod):
+    return [(wt, list(groups.items())) for wt, groups in mod.weight_classes().items()]
+
+
+def test_grades_drops_and_classes_match_the_tuple_pass():
+    # the family residue ids against the per-index tuple sums, list and
+    # dict order included: the differential set, the Levi head cases, the
+    # first rows of each sweep family, a probe base, and the widest and
+    # longest packed residues (A1 p=101, D4 p=3)
+    mods = _differential_set()
+    for typ, rank, flip, p, I, lam in LEVI_HEAD_CASES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+        mods.append(build_parabolic_baby_verma(alg, _chi(alg, p, I), lam))
+    for typ, rank, p, I in SWEEP_FAMILIES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        for lam in alg.rs.regular_alcove_weights(p)[:3]:
+            mods.append(build_parabolic_baby_verma(alg, _chi(alg, p, I), lam))
+    tmpl = build_parabolic_baby_verma(B2, _chi(B2, 5, (2,)), (1, 1))
+    keys = [None] + [("y", b) for b in B2.rs.roots if b not in tmpl.slot]
+    mods.append(modules.InducedModule(B2, tmpl.chi, tmpl.order, modules._Probe(keys, 2)))
+    D4 = ChevalleyAlgebra(RootSystem("D", 4))
+    mods += [build_baby_verma(A1, PChar(101, ()), (lam,)) for lam in (0, 57, 100)]
+    mods += [build_parabolic_baby_verma(D4, _chi(D4, 3, (1,)), lam)
+             for lam in ((0, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 1))]
+    assert {mod.levi.dim > 1 for mod in mods} == {False, True}
+    for mod in mods:
+        grades, drops, classes = classes_by_tuple_sums(mod)
+        assert mod.grades() == grades and mod.drops() == drops
+        assert _classes_listed(mod) == _ordered(classes)
+
+
+def test_reduction_memos_stay_bounded():
+    # every row of A3 p=7 I={1} decided: each family's memo, from a packed
+    # sum of base-2p digits to its residues, holds at most (2p)^n entries,
+    # and the modules of one family share its id tables
+    alg = ChevalleyAlgebra(RootSystem("A", 3))
+    mods = [build_parabolic_baby_verma(alg, _chi(alg, 7, (1,)), lam)
+            for lam in alg.rs.regular_alcove_weights(7)]
+    assert all(is_irreducible(mod).irreducible for mod in mods)
+    families = [tabs[4] for key, tabs in alg.module_tables.items() if len(key) == 3]
+    assert len(families) == 2  # the rows and the Levi Verma modules behind their heads
+    assert all(0 < len(memo) <= 14**3 for _, _, memo in families)
+    a, b = mods[0], mods[-1]
+    assert a.lam != b.lam and a._res is b._res
+    assert all(ta is tb for ta, tb in zip(a._res, b._res))
+
+
 # ---- the transposed radical, read from the family's row tables ----
 
 
@@ -1150,6 +1202,44 @@ def test_sweep_levi_heads_match_the_quotient_by_the_radical():
                 assert isinstance(levi, HeadModule)
                 dims.append(_assert_head_is_the_quotient(levi.parent).dim)
     assert len(dims) == 113 and min(dims) > 1
+
+
+def test_levi_heads_have_one_maximal_line():
+    # build_levi_simple checks every head of dim > 1: its only maximal
+    # line is the one at high.  Every Levi head behind the sweep rows and
+    # LEVI_HEAD_CASES passes
+    heads = []
+    for typ, rank, flip, p, I, lam in LEVI_HEAD_CASES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+        heads.append(build_levi_simple(alg, p, I, lam))
+    for typ, rank, p, I in SWEEP_FAMILIES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        heads += [build_levi_simple(alg, p, I, lam) for lam in alg.rs.regular_alcove_weights(p)]
+    heads = [hd for hd in heads if hd.dim > 1]
+    assert len(heads) == len(LEVI_HEAD_CASES) + 113
+    for hd in heads:
+        top = (hd.grades()[hd.high], hd.drops()[hd.high])
+        assert maximal_vectors(hd) == {top: [{hd.high: 1}]}
+
+
+def test_build_levi_simple_refuses_a_head_that_is_not_simple(monkeypatch):
+    # with head() handing back the Levi Verma module itself, a reducible
+    # module with the same interface, the check sees more than one line
+    alg = ChevalleyAlgebra(RootSystem("B", 2))
+    monkeypatch.setattr(modules, "head", lambda mod, cap=modules.LINES_CAP: mod)
+    with pytest.raises(HeadNotSimple, match="maximal lines"):
+        build_levi_simple(alg, 5, (2,), (1, 1))
+    # nor may the one maximal line lie off the head's high
+    def moved_high(mod, cap=modules.LINES_CAP):
+        hd = head(mod, cap)
+        hd.high = hd.dim - 1 - hd.high
+        return hd
+
+    monkeypatch.setattr(modules, "head", moved_high)
+    with pytest.raises(HeadNotSimple, match="1 maximal lines"):
+        build_levi_simple(alg, 5, (2,), (1, 1))
+    monkeypatch.undo()
+    assert build_levi_simple(alg, 5, (2,), (1, 1)).dim == 2
 
 
 def test_head_reads_no_table_of_the_module_it_heads(monkeypatch):
