@@ -2,7 +2,9 @@
 
 Vectors are dicts {index: coeff} with coeffs in 1..p-1 (zero entries are
 never stored). Linear operators are dicts {col_index: image_vector}, i.e.
-column form; missing columns act as zero.
+column form; missing columns act as zero, or an operator applies itself
+to a whole vector through apply(vec), as modules._RowsAt does.  The hot
+loops write the axpy out rather than call addmul once per row touched.
 """
 
 from collections import deque
@@ -30,12 +32,21 @@ def addmul(acc, vec, c, p):
 
 
 def apply_columns(op, vec, p):
-    """Image of vec under the operator given in column form."""
+    """Image of vec under op, in column form or applying itself."""
+    apply = getattr(op, "apply", None)
+    if apply is not None:
+        return apply(vec)
     out = {}
+    get = out.get
     for j, c in vec.items():
         col = op.get(j)
         if col:
-            addmul(out, col, c, p)
+            # out holds reduced values, so c = 0 mod p leaves it as it was
+            for k, v in col.items():
+                if n := (get(k, 0) + c * v) % p:
+                    out[k] = n
+                elif k in out:
+                    del out[k]
     return out
 
 
@@ -73,13 +84,17 @@ class Echelon:
         return sorted(self.rows)
 
     def reduce(self, vec):
-        p = self.p
+        p, rows = self.p, self.rows
         v = dict(vec)
+        get = v.get
         # each subtraction only touches non-pivot columns, one pass is enough
-        for q in [k for k in v if k in self.rows]:
-            c = v.get(q, 0)
-            if c:
-                addmul(v, self.rows[q], -c, p)
+        for q in [k for k in v if k in rows]:
+            if c := -get(q, 0) % p:
+                for k, x in rows[q].items():
+                    if n := (get(k, 0) + c * x) % p:
+                        v[k] = n
+                    elif k in v:
+                        del v[k]
         return v
 
     def insert(self, vec):
@@ -97,9 +112,12 @@ class Echelon:
         if rows is None:
             rows = self.parts[self.grade[j]] = {}
         for row in rows.values():
-            c = row.get(j)
-            if c:
-                addmul(row, v, -c, p)
+            if (c := row.get(j)) and (c := -c % p):
+                for k, x in v.items():
+                    if n := (row.get(k, 0) + c * x) % p:
+                        row[k] = n
+                    elif k in row:
+                        del row[k]
         rows[j] = self.rows[j] = v
         return v
 

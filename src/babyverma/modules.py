@@ -44,9 +44,10 @@ peeled e_j lies in the row space: the RREF is the e_j and that of the rest.
 
 Each generation test is a span closure graded by weight mod p: one
 echelon whose rows each lie in one weight class, so a new row is
-back-substituted only into the rows of its own weight.  Every module
-built here is cyclic on its highest vector, so the closure stops as
-soon as that vector is reached; only a line that fails to generate is
+back-substituted only into the rows of its own weight, and a kernel
+line is closed under the active y_i alone (see is_irreducible).  Every
+module built here is cyclic on its highest vector, so the closure stops
+as soon as that vector is reached; only a line that fails to generate is
 closed to full rank.  This decides the 33 614-dimensional A3 p=7
 I={1,2} lambda=(1,1,1) module in seconds.
 
@@ -60,12 +61,13 @@ closure of rank dim(head).  With chi = 0 every y_i raises the PBW degree,
 so y_i^T kills e*_high and the closure runs under the transposed x_i
 alone.  There op_matrix(x_i) = A_i + lam_i B_i mod p: the family keeps
 the transposed rows of A_i, which is x_i at lam = 0; B_i removes one
-y_(alpha_i), times its exponent, and is read in closed form.  So the
-closure builds no column table of the module.  head() of such a module
-is the HeadModule dual to W, with W's rows in place of the annihilator's:
-it has the quotient's basis and tables, each made from W, the transposed
-x_i rows and the family's slot tables, and its non-simple root vectors
-are brackets of its own tables, so no table of the module is made.
+y_(alpha_i), times its exponent, and x_i^T applies both to a whole
+vector in closed form.  So the closure builds no column table of the
+module and forms no row.  head() of such a module is the HeadModule
+dual to W, with W's rows in place of the annihilator's: it has the
+quotient's basis and tables, each made from W, the transposed x_i rows
+and the family's slot tables, and its non-simple root vectors are
+brackets of its own tables, so no table of the module is made.
 Any other module sums the closures of its non-generating kernel lines
 as it goes, skipping lines already in the sum, and checks on the way
 that the head is simple, which it relies on: HeadNotSimple refuses a
@@ -518,25 +520,34 @@ def _reversed_rows(cols, rev):
 
 
 class _RowsAt:
-    """The rows of A + lam B mod p, read through get() as
-    fplin.apply_columns reads an operator.  On reversed indices, row j of
-    B^T is -d at j - stride, where d = (j // stride) % p is the slot's
-    digit of j: a row with d = 0 is A's own dict, any other is formed on
-    its first read."""
+    """A^T + lam B^T mod p on reversed indices, applied to a whole vector
+    by apply(), which fplin.apply_columns calls.  Row j of B^T is -d at
+    j - stride, d = (j // stride) % p the slot's digit of j: entry (j, c)
+    adds c times A's row j and -lam d c at j - stride.  get(j) is row j."""
 
     def __init__(self, a, stride, lam, p):
         self.a, self.stride, self.lam, self.p = a, stride, lam % p, p
-        self.rows = {}
+
+    def apply(self, vec):
+        a, s, p, lam = self.a, self.stride, self.p, self.lam
+        out = {}
+        get = out.get
+        for j, c in vec.items():
+            if row := a.get(j):
+                for k, v in row.items():
+                    if n := (get(k, 0) + c * v) % p:
+                        out[k] = n
+                    elif k in out:
+                        del out[k]
+            if d := j // s % p:
+                if n := (get(j - s, 0) - lam * d * c) % p:
+                    out[j - s] = n
+                elif j - s in out:
+                    del out[j - s]
+        return out
 
     def get(self, j):
-        row = self.rows.get(j)
-        if row is None:
-            d = (j // self.stride) % self.p
-            if not d:
-                return self.a.get(j)
-            row = dict(self.a.get(j, {}))
-            self.rows[j] = addmul(row, {j - self.stride: -d}, self.lam, self.p)
-        return row
+        return self.apply({j: 1})
 
 
 class _Kept(ModuleBase):
@@ -558,6 +569,7 @@ class _Kept(ModuleBase):
         self._cols = {}
         self._classes = None
         self._grades = None
+        self._drops = None
 
     def lift(self, vec):
         return {self.keep[b]: c for b, c in vec.items()}
@@ -570,8 +582,10 @@ class _Kept(ModuleBase):
         return self._grades
 
     def drops(self):
-        drops = self.parent.drops()
-        return [drops[c] for c in self.keep]
+        if self._drops is None:
+            drops = self.parent.drops()
+            self._drops = [drops[c] for c in self.keep]
+        return self._drops
 
 
 class QuotientModule(_Kept):
@@ -763,10 +777,9 @@ def maximal_vectors(mod):
     return {keys[k]: found[k] for k in sorted(found)}
 
 
-def _line_closure(mod, vec):
-    # the closure of vec under the xy action, graded by weight and
-    # stopped once it holds mod.high; columns read as _reader gives them
-    ops = [mod._reader((t, mod.rs.simple(i))) for i in mod.active for t in "xy"]
+def _line_closure(mod, vec, kinds="xy"):
+    # vec's closure under the active x_i and/or y_i, graded, stopped at high
+    ops = [mod._reader((t, mod.rs.simple(i))) for i in mod.active for t in kinds]
     return span_closure([vec], ops, mod.p, dim=mod.dim, grade=mod.grades(), stop=mod.high)
 
 
@@ -843,14 +856,22 @@ def _kernel_lines(mod, cap):
 
 def is_irreducible(mod, cap=LINES_CAP):
     """Exact irreducibility decision; raises CapExceeded if the number
-    of kernel lines to test exceeds cap."""
+    of kernel lines to test exceeds cap.
+
+    Each kernel line v is closed under the active y_i alone: the active
+    x_i kill it, and each h_i scales it, v being a weight vector.  chi has
+    standard Levi form, so chi(n^+) = 0, and by PBW u_chi(g) =
+    u_chi(n^-) u_0(h) u_0(n^+): u_chi(g) v = u_chi(n^-) v, which the
+    simple y_i generate, each bracket constant +-1 or +-2 being a unit at
+    a good prime.  So too over a Levi (active = J) and in a quotient.  The
+    submodule, its reduced rows run to the end and e_high in it agree."""
     profile, lines = _kernel_lines(mod, cap)
     checked = 0
     for wt, v in lines:
         checked += 1
         # a line that does not generate never reaches mod.high, so its
         # closure runs to the end: the submodule the witness generates
-        sub = _line_closure(mod, v)
+        sub = _line_closure(mod, v, "y")
         if not sub.contains({mod.high: 1}):
             rank = sub.rank()
             return IrreducibilityReport(False, mod, profile, v, wt, checked, rank)
@@ -921,7 +942,7 @@ def _radical_vectors(mod, cap):
     for _, v in lines:
         if bad.contains(v):
             continue
-        sub = _line_closure(mod, v)
+        sub = _line_closure(mod, v, "y")
         if sub.contains(top):
             continue
         for row in sub.basis():

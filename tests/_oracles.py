@@ -23,6 +23,11 @@ elimination of modules.maximal_vectors.
 classes_by_tuple_sums adds residue tuples per index and groups the
 tuple pairs, for the grades, drops and weight classes an InducedModule
 reads from its family's residue ids.
+apply_columns_by_addmul and EchelonByAddmul make every axpy through
+fplin.addmul, for the inlined axpy of fplin.apply_columns,
+Echelon.reduce and Echelon.insert; RowsAtByRows forms each row of
+A^T + lam B^T on its first read, for the closed-form apply of
+modules._RowsAt.
 verify_commutators_by_apply and verify_frobenius_by_apply read
 act_basis at every step and reduce every sum, for the per-key column
 memo and closed forms of modules.verify_commutators and
@@ -45,7 +50,7 @@ import itertools
 import random
 
 from babyverma import modules
-from babyverma.fplin import Echelon, addmul, apply_columns, nullspace, span_closure
+from babyverma.fplin import Echelon, addmul, apply_columns, fp_inv, nullspace, span_closure
 from babyverma.modules import (
     HeadModule,
     InducedModule,
@@ -642,6 +647,70 @@ def classes_by_tuple_sums(mod):
     for b, (wt, kap) in enumerate(zip(grades, drops)):
         classes.setdefault(wt, {}).setdefault(kap, []).append(b)
     return grades, drops, classes
+
+
+def apply_columns_by_addmul(op, vec, p):
+    """fplin.apply_columns on a column-form op, one addmul per column."""
+    out = {}
+    for j, c in vec.items():
+        col = op.get(j)
+        if col:
+            addmul(out, col, c, p)
+    return out
+
+
+class EchelonByAddmul(Echelon):
+    """fplin.Echelon with each subtraction in reduce and insert made by
+    addmul."""
+
+    def reduce(self, vec):
+        p = self.p
+        v = dict(vec)
+        for q in [k for k in v if k in self.rows]:
+            c = v.get(q, 0)
+            if c:
+                addmul(v, self.rows[q], -c, p)
+        return v
+
+    def insert(self, vec):
+        p = self.p
+        v = self.reduce(vec)
+        if not v:
+            return None
+        j = min(v)
+        cinv = fp_inv(v[j], p)
+        if cinv != 1:
+            v = {k: (cinv * c) % p for k, c in v.items()}
+        rows = self.rows if self.grade is None else self.parts.get(self.grade[j])
+        if rows is None:
+            rows = self.parts[self.grade[j]] = {}
+        for row in rows.values():
+            c = row.get(j)
+            if c:
+                addmul(row, v, -c, p)
+        rows[j] = self.rows[j] = v
+        return v
+
+
+class RowsAtByRows:
+    """The rows of A + lam B mod p on reversed indices, read through get()
+    as a column-form operator: row j of B^T is -d at j - stride, where
+    d = (j // stride) % p is the slot's digit of j; a row with d = 0 is A's
+    own dict, any other is formed on its first read and kept."""
+
+    def __init__(self, a, stride, lam, p):
+        self.a, self.stride, self.lam, self.p = a, stride, lam % p, p
+        self.rows = {}
+
+    def get(self, j):
+        row = self.rows.get(j)
+        if row is None:
+            d = (j // self.stride) % self.p
+            if not d:
+                return self.a.get(j)
+            row = dict(self.a.get(j, {}))
+            self.rows[j] = addmul(row, {j - self.stride: -d}, self.lam, self.p)
+        return row
 
 
 def check_stable(mod, sub):

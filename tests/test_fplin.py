@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _oracles import nullspace_reading_all
+from _oracles import EchelonByAddmul, apply_columns_by_addmul, nullspace_reading_all
 from babyverma import fplin
 from babyverma.fplin import (
     Echelon,
@@ -47,6 +47,52 @@ def test_apply_columns():
     assert apply_columns(op, {0: 1, 1: 1}, 5) == {0: 2, 1: 1}
     assert apply_columns(op, {}, 5) == {}
     assert apply_columns({}, {0: 1}, 5) == {}
+
+
+def _sparse(rng, n, p, density=0.3):
+    # a random sparse vector whose coefficients may be unreduced or 0 mod p
+    return {j: rng.randrange(-2 * p, 3 * p) for j in range(n) if rng.random() < density}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_inlined_apply_columns_matches_addmul(p):
+    # same image, dict order included, with unreduced and zero scalars
+    rng = random.Random(p)
+    n = 12
+    for _ in range(200):
+        op = {j: col for j in range(n) if (col := _sparse(rng, n, p))}
+        vec = _sparse(rng, n, p, 0.5)
+        got, want = apply_columns(op, vec, p), apply_columns_by_addmul(op, vec, p)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_inlined_echelon_matches_addmul(p, graded):
+    # insert and reduce against the addmul oracle, step by step: the same
+    # returned rows, the same rows and parts in the same order, or the same
+    # error where a leading coefficient is 0 mod p but not 0
+    rng = random.Random(100 + p)
+    n = 14
+    grade = [j % 3 for j in range(n)] if graded else None
+    for _ in range(20):
+        fast, slow = Echelon.graded(p, grade), EchelonByAddmul.graded(p, grade)
+        for _ in range(30):
+            vec = _sparse(rng, n, p)
+            if graded:
+                key = rng.randrange(3)
+                vec = {j: c for j, c in vec.items() if grade[j] == key}
+            assert fast.reduce(vec) == slow.reduce(vec)
+            try:
+                want = slow.insert(vec)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    fast.insert(vec)
+                continue
+            assert fast.insert(vec) == want
+            assert repr(fast.rows) == repr(slow.rows)
+            if graded:
+                assert repr(fast.parts) == repr(slow.parts)
 
 
 def test_echelon_rref_invariant():

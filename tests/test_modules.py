@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from _oracles import (
+    RowsAtByRows,
     annihilator_of_top_by_columns,
+    apply_columns_by_addmul,
     check_stable,
     classes_by_tuple_sums,
     classes_per_index,
@@ -32,7 +34,7 @@ from _oracles import (
 )
 from babyverma import campaigns, modules
 from babyverma.chevalley import ChevalleyAlgebra, PChar, make_pchar
-from babyverma.fplin import addmul, span_closure
+from babyverma.fplin import addmul, apply_columns, span_closure
 from babyverma.modules import (
     AdjointModule,
     CapExceeded,
@@ -53,6 +55,7 @@ from babyverma.modules import (
 )
 from babyverma.pbw import fix_order
 from babyverma.roots import LeviDatum, RootSystem
+from test_pbw import DIFF_ZOO
 
 A1 = ChevalleyAlgebra(RootSystem("A", 1))
 A2 = ChevalleyAlgebra(RootSystem("A", 2))
@@ -1153,6 +1156,110 @@ def test_radical_builds_no_column_table():
     for mod in _differential_set()[::7]:
         radical(mod)
         assert mod._cols == {}
+
+
+# ---- the closure kernel: closed-form transposed rows, y-only lines ----
+
+# the chi = 0 families of the heads benchmark workload
+HEADS_FAMILIES = [(A2, 7), (B2, 5), (ChevalleyAlgebra(RootSystem("C", 2)), 5),
+                  (ChevalleyAlgebra(RootSystem("A", 3)), 3)]
+
+
+def test_closed_form_rows_match_the_formed_rows():
+    # _RowsAt.apply against the rows formed one by one and applied by
+    # addmul, on every heads family's transposed x_i at every lam_i mod p
+    # and at lam_i + p: on each e_j (get too), and on random vectors with
+    # coefficients unreduced or 0 mod p
+    rng = random.Random(27)
+    for alg, p in HEADS_FAMILIES:
+        mod = build_baby_verma(alg, PChar(p, ()), (0,) * alg.rs.n)
+        for a, stride in mod.top_rows():
+            for lam in range(2 * p):
+                fast = modules._RowsAt(a, stride, lam, p)
+                slow = RowsAtByRows(a, stride, lam, p)
+                for j in range(mod.dim):
+                    want = apply_columns_by_addmul(slow, {j: 1}, p)
+                    assert fast.apply({j: 1}) == fast.get(j) == want
+                    assert want == (slow.get(j) or {})
+                for _ in range(20):
+                    vec = {j: rng.randrange(-p, 2 * p) for j in rng.sample(range(mod.dim), 8)}
+                    assert fast.apply(vec) == apply_columns_by_addmul(slow, vec, p)
+                    assert apply_columns(fast, vec, p) == fast.apply(vec)
+
+
+def _closure_to_the_end(mod, vec, kinds, stop=None):
+    ops = [mod._reader((t, mod.rs.simple(i))) for i in mod.active for t in kinds]
+    return span_closure([vec], ops, mod.p, dim=mod.dim, grade=mod.grades(), stop=stop)
+
+
+def _y_only_modules():
+    mods = _differential_set()
+    for build, typ, rank, p, I, lam in DIFF_ZOO:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank))
+        mods.append(build(alg, make_pchar(alg, p, I), lam))
+    for typ, rank, flip, p, I, lam in LEVI_HEAD_CASES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+        mods.append(build_parabolic_baby_verma(alg, _chi(alg, p, I), lam))
+    return mods
+
+
+def test_kernel_lines_close_under_the_y_alone():
+    # a kernel line generates the same submodule under the active y_i as
+    # under the x_i and y_i (the is_irreducible docstring), on every kernel
+    # line.  Both closures stop at e_high: every module here is cyclic on
+    # it, so a closure that reaches it is the whole module run to the end,
+    # and one that does not ran to the end, and its rows are compared
+    mods = _y_only_modules()
+    assert len(mods) == 216 + len(DIFF_ZOO) + len(LEVI_HEAD_CASES)
+    lines = proper = 0
+    for mod in mods:
+        for _, v in modules._kernel_lines(mod, 10000)[1]:
+            y = _closure_to_the_end(mod, v, "y", mod.high)
+            xy = _closure_to_the_end(mod, v, "xy", mod.high)
+            top = xy.contains({mod.high: 1})
+            assert y.contains({mod.high: 1}) == top
+            if not top:
+                assert y.rows == xy.rows
+                proper += 1
+            lines += 1
+    assert (lines, proper) == (2697, 1966)
+
+
+def test_generates_closes_under_x_and_y(monkeypatch):
+    # generates() takes any vector, not only a maximal one, so its closure
+    # reads the x_i as well as the y_i
+    mod = build_baby_verma(A1, PChar(5, []), (2,))
+    kinds = []
+    closure = modules._line_closure
+    monkeypatch.setattr(
+        modules, "_line_closure",
+        lambda m, v, k="xy": kinds.append(k) or closure(m, v, k),
+    )
+    assert not generates(mod, {3: 1})
+    assert generates(mod, {0: 1})
+    # y v is no kernel line: it reaches the top v only through x_1
+    assert generates(mod, {1: 1})
+    assert kinds == ["xy"] * 3
+    assert not _closure_to_the_end(mod, {1: 1}, "y").contains({mod.high: 1})
+
+
+def test_a_sweep_row_expands_its_levi_verma_drops_once(monkeypatch):
+    # _Kept keeps its drops as it keeps its grades: the row's module reads
+    # its Levi head's drops, and so does the head's simplicity check, but
+    # the Levi Verma module behind the head expands its drops once a row
+    rs = RootSystem("A", 3)
+    lams = [lam for lam in rs.regular_alcove_weights(5) if lam[1] % 5 or lam[2] % 5][:3]
+    calls, built = [], []
+    drops, build = modules.InducedModule.drops, campaigns.build_parabolic_baby_verma
+    monkeypatch.setattr(modules.InducedModule, "drops", lambda m: calls.append(m) or drops(m))
+    monkeypatch.setattr(campaigns, "build_parabolic_baby_verma",
+                        lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    for lam in lams:
+        del calls[:]
+        campaigns.analyze_weight("A", 3, 5, (1,), lam)
+        mod = built[-1]
+        assert isinstance(mod.levi, HeadModule)
+        assert [m for m in calls if m is not mod] == [mod.levi.parent]
 
 
 # ---- the head on the transposed path, dual to the closure of e*_high ----
