@@ -3,8 +3,10 @@
 Vectors are dicts {index: coeff} with coeffs in 1..p-1 (zero entries are
 never stored). Linear operators are dicts {col_index: image_vector}, i.e.
 column form; missing columns act as zero, or an operator applies itself
-to a whole vector through apply(vec), as modules._RowsAt does.  The hot
-loops write the axpy out rather than call addmul once per row touched.
+to a whole vector through apply(vec), as modules._RowsAt does.  What
+reads an operator only by column (apply_columns, joint_kernel past ops[0])
+needs just get(j), column j or None.  The hot loops write the axpy out
+rather than call addmul once per row touched.
 """
 
 from collections import deque
@@ -105,9 +107,9 @@ class Echelon:
         if not v:
             return None
         j = min(v)
-        cinv = fp_inv(v[j], p)
-        if cinv != 1:
-            v = {k: (cinv * c) % p for k, c in v.items()}
+        if v[j] != 1:
+            cinv = fp_inv(v[j], p)
+            v = {k: n for k, c in v.items() if (n := cinv * c % p)}
         rows = self.rows if self.grade is None else self.parts.get(self.grade[j])
         if rows is None:
             rows = self.parts[self.grade[j]] = {}
@@ -155,28 +157,39 @@ def joint_kernel(ops, dim, p, grade=None):
     its equations lose it, until none has one.  Equation i*len(ops)+t keeps
     its live count and live column sum, the column itself at count 1.  Each
     peeled e_j lies in the row space, so the RREF is the e_j and the RREF of
-    the live columns' equations, the only ones built and solved."""
-    T, tops = len(ops), list(enumerate(ops))
-    count, total = [0] * (dim * T), [0] * (dim * T)
-    for t, op in tops:
+    the live columns' equations, the only ones built and solved.
+
+    ops[0] is read whole, each later op once through get(j) at the columns
+    live after the ops before it are peeled, and the peel runs again.  The
+    peel is confluent: a kill only lowers counts, so an equation with one
+    live column keeps it until it is killed, and every order of kills ends
+    at the one live set where no equation has a single live column.  A
+    staged kill is one of the full peel, the counts of the ops read being
+    live counts: nullspace gets the same columns, so the same vectors."""
+    T, tops = len(ops), []
+    count, total, live = [0] * (dim * T), [0] * (dim * T), [True] * dim
+    for t, op in enumerate(ops):
+        if t:
+            op = {j: col for j in range(dim) if live[j] and (col := op.get(j))}
+        tops.append((t, op))
         for j, col in op.items():
             for i, c in col.items():
                 if c % p:
                     count[i * T + t] += 1
                     total[i * T + t] += j
-    live, stack = [True] * dim, [e for e, n in enumerate(count) if n == 1]
-    while stack:
-        if count[e := stack.pop()] == 1:
-            j = total[e]
-            live[j] = False
-            for t, op in tops:
-                for i, c in op.get(j, {}).items():
-                    if c % p:
-                        e = i * T + t
-                        count[e] -= 1
-                        total[e] -= j
-                        if count[e] == 1:
-                            stack.append(e)
+        stack = [e for e in range(t, dim * T, T) if count[e] == 1]
+        while stack:
+            if count[e := stack.pop()] == 1:
+                j = total[e]
+                live[j] = False
+                for s, cols in tops:
+                    for i, c in cols.get(j, {}).items():
+                        if c % p:
+                            e = i * T + s
+                            count[e] -= 1
+                            total[e] -= j
+                            if count[e] == 1:
+                                stack.append(e)
     cols = [j for j in range(dim) if live[j]]
     eqs = {}
     for j in cols:

@@ -41,6 +41,10 @@ elimination per module gives exactly the per-class kernels: x_t maps class
 (wt, drop) into (wt + alpha_t, drop - alpha_t), so the RREF is the union of
 the per-class RREFs, each on its indices in ascending order, and every
 peeled e_j lies in the row space: the RREF is the e_j and that of the rest.
+It reads the first x_i whole, the others where its peel leaves columns
+live: over a base of dim > 1 a Levi x_j first, its table joined from the
+family rows, then every other x_i joined per column, so no slot x_i table
+is made; over a one-dimensional base each x_i is its straightened table.
 
 Each generation test is a span closure graded by weight mod p: one
 echelon whose rows each lie in one weight class, so a new row is
@@ -338,9 +342,22 @@ class InducedModule(ModuleBase):
         if typ == "y" and key not in self._cols and g in self.slot:
             return SimpleNamespace(get=functools.partial(self.act_basis, key))
         if typ == "y" and key not in self._cols and self.levi.dim > 1:
-            cols, ldim = self._join(key), self.levi.dim
-            return SimpleNamespace(get=lambda b: cols((b // ldim,), (b % ldim,)).get(b))
+            return self._joined(key)
         return self.op_matrix(key)
+
+    def _joined(self, key):
+        # key's columns joined one at a time from the family rows
+        cols, ldim = self._join(key), self.levi.dim
+        return SimpleNamespace(get=lambda b: cols((b // ldim,), (b % ldim,)).get(b))
+
+    def raising_ops(self):
+        # over a base of dim > 1 a Levi x_j first, as its table; every other
+        # x_i not yet a table is joined per column, read where the peel of
+        # maximal_vectors leaves columns live
+        if self.levi.dim == 1:
+            return super().raising_ops()
+        xs = [("x", g) for g in sorted(map(self.rs.simple, self.active), key=self.slot.__contains__)]
+        return [self.op_matrix(xs[0])] + [self._cols.get(k) or self._joined(k) for k in xs[1:]]
 
     def _join(self, gkey):
         """cols(ranks, ls): the columns r * levi.dim + l, r in ranks and l

@@ -522,7 +522,7 @@ def maximal_vectors_per_class(mod):
     """modules.maximal_vectors solved class by class: for each
     (weight, drop) class, the equations "row i of x_t" on the class's
     columns go to fplin.nullspace in local coordinates."""
-    ops = mod.raising_ops()
+    ops = [mod.op_matrix(("x", mod.rs.simple(i))) for i in mod.active]
     out = {}
     for wt, groups in mod.weight_classes().items():
         for kap, idxs in groups.items():
@@ -678,9 +678,8 @@ class EchelonByAddmul(Echelon):
         if not v:
             return None
         j = min(v)
-        cinv = fp_inv(v[j], p)
-        if cinv != 1:
-            v = {k: (cinv * c) % p for k, c in v.items()}
+        if v[j] != 1:
+            v = addmul({}, v, fp_inv(v[j], p), p)
         rows = self.rows if self.grade is None else self.parts.get(self.grade[j])
         if rows is None:
             rows = self.parts[self.grade[j]] = {}

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -113,6 +114,28 @@ def test_echelon_rref_invariant():
     for v in vecs:
         assert ech.contains(v)
     assert ech.rank() == 8
+
+
+def test_echelon_insert_normalizes_unreduced_rows():
+    # a leading coefficient that is 1 mod p but not 1 is normalized too,
+    # and the entries 0 mod p go
+    ech = Echelon(5)
+    assert ech.insert({0: 6, 1: 7}) == {0: 1, 1: 2}
+    assert ech.rows == {0: {0: 1, 1: 2}}
+    ech = Echelon(5)
+    assert ech.insert({0: 6, 1: 5}) == {0: 1}
+    assert ech.rows == {0: {0: 1}}
+    # reduced input keeps its own dict order and values
+    ech = Echelon(5)
+    assert list(ech.insert({2: 4, 0: 1}).items()) == [(2, 4), (0, 1)]
+
+
+def test_span_closure_stops_at_an_unreduced_seed():
+    # {0: 6} is e_0 at p = 5: the closure stops on it, before e_1
+    assert span_closure([{0: 6}], [], 5, stop=0).rows == {0: {0: 1}}
+    op = {0: {1: 1}}
+    assert span_closure([{0: 6}], [op], 5, stop=0).rows == {0: {0: 1}}
+    assert span_closure([{0: 6}], [op], 5).rank() == 2
 
 
 def test_nullspace_single_row():
@@ -243,13 +266,27 @@ def _random_sparse_ops(rng, dim, p, classes):
     return ops
 
 
+class _Logged:
+    """A get-only reader of a column-form op that logs the columns read."""
+
+    def __init__(self, op):
+        self.op, self.read = op, []
+
+    def get(self, j):
+        self.read.append(j)
+        return self.op.get(j)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
     # seeded random sparse systems, flat and graded, entries 0 mod p
-    # included: the same vectors, each with its free column first
+    # included: the same vectors, each with its free column first.  Read
+    # through get alone, every op after the first is read once at each
+    # column live after the peel of the ops before it, and nowhere else.
+    # The peel ends where no equation of any op has one live column
     seen = _live_columns(monkeypatch)
     rng = random.Random(100 + p)
-    stalled = peeled = 0
+    stalled = peeled = staged = 0
     for _ in range(150):
         dim = rng.randrange(0, 13)
         classes = rng.randrange(1, 5)
@@ -261,7 +298,18 @@ def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
         assert [next(iter(v)) for v in got] == [next(iter(v)) for v in want]
         stalled += len(seen[-1]) > 0
         peeled += len(seen[-1]) < dim
-    assert stalled > 80 and peeled > 80
+        live = seen[-1]
+        for op in ops:
+            counts = collections.Counter(i for j in live for i, c in op.get(j, {}).items() if c % p)
+            assert 1 not in counts.values()
+        readers = [_Logged(op) for op in ops[1:]]
+        assert joint_kernel(ops[:1] + readers, dim, p) == want
+        assert seen[-1] == live
+        for t, reader in enumerate(readers, 1):
+            joint_kernel(ops[:t], dim, p)
+            assert reader.read == seen[-1]
+            staged += len(reader.read) < dim
+    assert stalled > 80 and peeled > 80 and staged > 80
 
 
 def test_span_closure_cyclic():

@@ -1445,12 +1445,24 @@ def test_sweep_rows_match_the_levi_weyl_dim():
 def test_maximal_vectors_match_the_per_class_oracle():
     # one peeled elimination per module against one nullspace per class,
     # key order included: the differential set, the first rows of each
-    # sweep family, a quotient by a proper non-maximal submodule and a head
+    # sweep family, every LEVI_HEAD_CASES module, every A2 p=11 I={1} row
+    # over a Levi head of dim > 1, a quotient by a proper non-maximal
+    # submodule and a head.  Over a head of dim > 1 the x_i after the first
+    # are joined per column, while the oracle reads every table whole
     mods = _differential_set()
     for typ, rank, p, I in SWEEP_FAMILIES:
         alg = ChevalleyAlgebra(RootSystem(typ, rank))
         for lam in alg.rs.regular_alcove_weights(p)[:3]:
             mods.append(build_parabolic_baby_verma(alg, _chi(alg, p, I), lam))
+    for typ, rank, flip, p, I, lam in LEVI_HEAD_CASES:
+        alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+        mods.append(build_parabolic_baby_verma(alg, _chi(alg, p, I), lam))
+    a2 = ChevalleyAlgebra(RootSystem("A", 2))
+    rows = [build_parabolic_baby_verma(a2, _chi(a2, 11, (1,)), lam)
+            for lam in a2.rs.regular_alcove_weights(11)]
+    rows = [mod for mod in rows if mod.levi.dim > 1]
+    assert len(rows) == 36 and all(mod.levi.dim > 1 for mod in mods[-len(LEVI_HEAD_CASES):])
+    mods += rows
     z = build_baby_verma(A2, PChar(5, ()), (0, 0))
     _, lines = modules._kernel_lines(z, 1000)
     line = next(v for _, v in lines if not generates(z, v))
@@ -1697,6 +1709,42 @@ def test_sweep_rows_over_levi_heads_straighten_nothing(monkeypatch):
         assert [key for key in mod._cols if key[0] == "y"] == []
         if second:
             assert straightened == [] and tables == before
+
+
+@pytest.mark.parametrize(
+    "typ, rank, p, I, lam",
+    [("A", 3, 7, (1,), (0, 1, 2)), ("A", 2, 13, (1,), (0, 10))],
+)
+def test_a_row_over_a_levi_head_makes_one_x_table(monkeypatch, typ, rank, p, I, lam):
+    # is_irreducible makes the table of the first Levi x_j alone; every
+    # other x_i is joined per column where the peel leaves columns live,
+    # each column once, and the slot x_i at fewer columns than dim
+    reads = {}
+    join = modules.InducedModule._join
+
+    def spy_join(self, key):
+        cols = join(self, key)
+
+        def logged(ranks, ls):
+            reads.setdefault(key, []).extend(r * self.levi.dim + l for r in ranks for l in ls)
+            return cols(ranks, ls)
+
+        return logged
+
+    monkeypatch.setattr(modules.InducedModule, "_join", spy_join)
+    alg = ChevalleyAlgebra(RootSystem(typ, rank))
+    mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+    assert mod.levi.dim > 1
+    reads.clear()
+    assert is_irreducible(mod).irreducible
+    levi_x, slot_x = ("x", alg.rs.simple(2)), ("x", alg.rs.simple(1))
+    assert [key for key in mod._cols if key[0] == "x"] == [levi_x]
+    assert sorted(reads[levi_x]) == list(range(mod.dim))
+    x_reads = {key: cols for key, cols in reads.items() if key[0] == "x" and key != levi_x}
+    assert slot_x in x_reads and len(x_reads) == rank - 1
+    for cols in x_reads.values():
+        assert len(set(cols)) == len(cols) < mod.dim
+    assert 0 < len(x_reads[slot_x]) < mod.dim
 
 
 @pytest.mark.parametrize(
