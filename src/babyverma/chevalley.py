@@ -47,6 +47,7 @@ class ChevalleyAlgebra:
         self._all_roots = set(rs.roots) | {_neg(g) for g in rs.roots}
         self._nmemo = {}
         self.module_tables = {}  # per family: InducedModule rank tables, top_rows, _levi_rows
+        self.levi_peels = {}  # per Levi x_j content key: InducedModule's live columns, array("I")
         self._base_pair = self._pick_base_pairs()
         self.basis = (
             tuple(("x", g) for g in rs.roots)

@@ -4,9 +4,9 @@ Vectors are dicts {index: coeff} with coeffs in 1..p-1 (zero entries are
 never stored). Linear operators are dicts {col_index: image_vector}, i.e.
 column form; missing columns act as zero, or an operator applies itself
 to a whole vector through apply(vec), as modules._RowsAt does.  What
-reads an operator only by column (apply_columns, joint_kernel past ops[0])
-needs just get(j), column j or None.  The hot loops write the axpy out
-rather than call addmul once per row touched.
+reads an operator only by column (apply_columns, joint_kernel past ops[0]
+or from given columns) needs just get(j), column j or None.  The hot
+loops write the axpy out rather than call addmul once per row touched.
 """
 
 from collections import deque
@@ -150,7 +150,7 @@ def nullspace(equations, ncols, p, cols=None, grade=None):
     return out
 
 
-def joint_kernel(ops, dim, p, grade=None):
+def joint_kernel(ops, dim, p, grade=None, cols=None, after=None):
     """Common kernel of column-form operators on F_p^dim, as nullspace of
     the equations "row i of op t" gives it (grade as there).  First a peel:
     an equation with one live column j forces x_j = 0, so j is dropped and
@@ -165,12 +165,24 @@ def joint_kernel(ops, dim, p, grade=None):
     live column keeps it until it is killed, and every order of kills ends
     at the one live set where no equation has a single live column.  A
     staged kill is one of the full peel, the counts of the ops read being
-    live counts: nullspace gets the same columns, so the same vectors."""
-    T, tops = len(ops), []
+    live counts: nullspace gets the same columns, so the same vectors.
+
+    cols, ascending, starts the peel there: every op, ops[0] too, is read
+    through get(j) at live columns alone.  That is exact when cols is the
+    live set a peel of some of the equations leaves (after a prefix of ops,
+    say): each kill of that peel is one of the full peel, so the full peel
+    reaches cols and, being confluent, ends at the same live set.  after =
+    (t, f) calls f with the live columns once ops[:t] are read and peeled,
+    which is such a set for the next call: modules.maximal_vectors keeps
+    it after the Levi x_j, keyed by all those operators' columns depend on
+    (the family, the base's dim and the base columns they read), and
+    starts each later module with an equal key there."""
+    T, tops, whole = len(ops), [], cols is None
     count, total, live = [0] * (dim * T), [0] * (dim * T), [True] * dim
+    cols = range(dim) if whole else cols
     for t, op in enumerate(ops):
-        if t:
-            op = {j: col for j in range(dim) if live[j] and (col := op.get(j))}
+        if t or not whole:
+            op = {j: col for j in cols if live[j] and (col := op.get(j))}
         tops.append((t, op))
         for j, col in op.items():
             for i, c in col.items():
@@ -182,15 +194,17 @@ def joint_kernel(ops, dim, p, grade=None):
             if count[e := stack.pop()] == 1:
                 j = total[e]
                 live[j] = False
-                for s, cols in tops:
-                    for i, c in cols.get(j, {}).items():
+                for s, read in tops:
+                    for i, c in read.get(j, {}).items():
                         if c % p:
                             e = i * T + s
                             count[e] -= 1
                             total[e] -= j
                             if count[e] == 1:
                                 stack.append(e)
-    cols = [j for j in range(dim) if live[j]]
+        if after and t + 1 == after[0]:
+            after[1]([j for j in cols if live[j]])
+    cols = [j for j in cols if live[j]]
     eqs = {}
     for j in cols:
         for t, op in tops:

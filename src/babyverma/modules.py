@@ -45,6 +45,10 @@ It reads the first x_i whole, the others where its peel leaves columns
 live: over a base of dim > 1 a Levi x_j first, its table joined from the
 family rows, then every other x_i joined per column, so no slot x_i table
 is made; over a one-dimensional base each x_i is its straightened table.
+The Levi x_j read neither h nor lam, only the family rows and the base's
+own action, so the live set L0 their peel leaves is kept per algebra,
+keyed by that content; a later row over an equal head reads every x_i
+at L0 alone and makes no x table (see maximal_vectors).
 
 Each generation test is a span closure graded by weight mod p: one
 echelon whose rows each lie in one weight class, so a new row is
@@ -169,7 +173,8 @@ class ModuleBase:
         return ops
 
     def raising_ops(self):
-        return [self.op_matrix(("x", self.rs.simple(i))) for i in self.active]
+        # the active x_i as tables, and joint_kernel's cols and after: none
+        return [self.op_matrix(("x", self.rs.simple(i))) for i in self.active], None, None
 
     def weight_classes(self):
         """Basis indices grouped by weight mod p, then by drop mod p, in
@@ -351,13 +356,28 @@ class InducedModule(ModuleBase):
         return SimpleNamespace(get=lambda b: cols((b // ldim,), (b % ldim,)).get(b))
 
     def raising_ops(self):
-        # over a base of dim > 1 a Levi x_j first, as its table; every other
-        # x_i not yet a table is joined per column, read where the peel of
-        # maximal_vectors leaves columns live
+        # over a base of dim > 1 the Levi x_j first, then the slot x_i, each
+        # not yet a table joined per column; joint_kernel starts at a kept
+        # L0, or keeps it once the Levi x_j are peeled (see maximal_vectors)
         if self.levi.dim == 1:
             return super().raising_ops()
         xs = [("x", g) for g in sorted(map(self.rs.simple, self.active), key=self.slot.__contains__)]
-        return [self.op_matrix(xs[0])] + [self._cols.get(k) or self._joined(k) for k in xs[1:]]
+        levi = [k for k in xs if k[1] not in self.slot]
+        memo, key = self.alg.levi_peels, self._levi_peel_key(levi)
+        if key in memo:
+            return [self._cols.get(k) or self._joined(k) for k in xs], memo[key], None
+        after = len(levi), lambda live: memo.setdefault(key, array("I", live))
+        return [self.op_matrix(xs[0])] + [self._cols.get(k) or self._joined(k) for k in xs[1:]], None, after
+
+    def _levi_peel_key(self, levi):
+        # all that the Levi x_j's columns, so their peel, depend on: the
+        # family, levi.dim and what _join reads of the base for them, g l and
+        # P l for each part P of _levi_rows(g), at every l.  No h term: g is
+        # no slot, so lam is read only through the base's own action
+        act, ls = self.levi.act_basis, range(self.levi.dim)
+        qs = dict.fromkeys(q for g in levi for q in [g] + [part[0] for part in self._levi_rows(g)[1:]])
+        reads = tuple((q, tuple(tuple(act(q, l).items()) for l in ls)) for q in qs)
+        return (self.p, self.order, tuple(self.chival), self.levi.dim, tuple(levi)) + reads
 
     def _join(self, gkey):
         """cols(ranks, ls): the columns r * levi.dim + l, r in ranks and l
@@ -781,15 +801,29 @@ def maximal_vectors(mod):
     (weight mod p, drop mod p) component.  Returns a dict
     (wt, comp) -> list of kernel basis vectors in global coordinates, in
     the class order of weight_classes(): one joint_kernel graded by
-    class, its vectors grouped by the class of their free column."""
-    ops, classes = mod.raising_ops(), mod.weight_classes()
+    class, its vectors grouped by the class of their free column.
+
+    Over a base of dim > 1 the Levi x_j (alpha_j active, not a slot) act
+    on y^a l through the family rows and the base's action alone, with no
+    h term and no lam.  So the live set L0 that their peel leaves is a
+    function of the family (p, u_J^- order, chi on the slots), levi.dim
+    and what _join reads of the base for them, g l and P l for each part P
+    of _levi_rows(g): alg.levi_peels keeps L0 per that content, as an
+    array of indices.  A hit starts joint_kernel at L0, each x_i read there
+    alone, joined per column unless a table is made; a miss peels as
+    above, the first Levi x_j whole, keeps L0 once the Levi x_j are peeled
+    and goes on with the slot x_i, so no operator is read twice.  Exact:
+    every column outside L0 vanishes on the Levi x_j's joint kernel, so on
+    all the x_i's, and the peel being confluent, nullspace gets the same
+    live columns and equations, so the same vectors in the same order."""
+    (ops, cols, after), classes = mod.raising_ops(), mod.weight_classes()
     keys = [(wt, kap) for wt, groups in classes.items() for kap in groups]
     cid = [0] * mod.dim
     for k, (wt, kap) in enumerate(keys):
         for b in classes[wt][kap]:
             cid[b] = k
     found = {}
-    for v in joint_kernel(ops, mod.dim, mod.p, cid):
+    for v in joint_kernel(ops, mod.dim, mod.p, cid, cols, after):
         found.setdefault(cid[next(iter(v))], []).append(v)
     return {keys[k]: found[k] for k in sorted(found)}
 

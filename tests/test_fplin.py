@@ -283,10 +283,12 @@ def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
     # included: the same vectors, each with its free column first.  Read
     # through get alone, every op after the first is read once at each
     # column live after the peel of the ops before it, and nowhere else.
-    # The peel ends where no equation of any op has one live column
+    # The peel ends where no equation of any op has one live column.  A run
+    # started at the live set of a prefix's peel reads the prefix there
+    # alone and gives the same vectors
     seen = _live_columns(monkeypatch)
     rng = random.Random(100 + p)
-    stalled = peeled = staged = 0
+    stalled = peeled = staged = subset = 0
     for _ in range(150):
         dim = rng.randrange(0, 13)
         classes = rng.randrange(1, 5)
@@ -309,7 +311,24 @@ def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
             joint_kernel(ops[:t], dim, p)
             assert reader.read == seen[-1]
             staged += len(reader.read) < dim
-    assert stalled > 80 and peeled > 80 and staged > 80
+        # the live set after a prefix ops[:t] is peeled, kept by after on a
+        # run that reads every op once, starts a run at the same kernel
+        for t in range(1, len(ops) + 1):
+            kept, readers = [], [_Logged(op) for op in ops[1:]]
+            got = joint_kernel(ops[:1] + readers, dim, p, after=(t, kept.append))
+            assert got == want and len(kept) == 1
+            prefix = kept[0]
+            assert all(len(set(r.read)) == len(r.read) for r in readers)
+            joint_kernel(ops[:t], dim, p)
+            assert prefix == seen[-1]
+            readers = [_Logged(op) for op in ops]
+            assert joint_kernel(readers, dim, p, cols=prefix) == want
+            assert joint_kernel(ops, dim, p, [j % classes for j in range(dim)], prefix) == want
+            assert seen[-1] == live
+            assert all(r.read == prefix for r in readers[:t])
+            assert all(set(r.read) <= set(prefix) for r in readers)
+            subset += t < len(ops) and len(prefix) < dim
+    assert stalled > 80 and peeled > 80 and staged > 80 and subset > 80
 
 
 def test_span_closure_cyclic():

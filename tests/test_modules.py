@@ -1747,6 +1747,120 @@ def test_a_row_over_a_levi_head_makes_one_x_table(monkeypatch, typ, rank, p, I, 
     assert 0 < len(x_reads[slot_x]) < mod.dim
 
 
+# ---- the Levi x_j's peel, kept per head ----
+
+
+def _kernel_starts(monkeypatch):
+    # per joint_kernel call of maximal_vectors: the columns it starts from
+    starts, jk = [], modules.joint_kernel
+    monkeypatch.setattr(modules, "joint_kernel",
+                        lambda ops, *a: starts.append(a[3]) or jk(ops, *a))
+    return starts
+
+
+def _levi_part(mod):
+    # what picks a row's Levi head: its weight at the Levi's simple roots
+    J = LeviDatum(mod.rs, mod.chi.I).J
+    return tuple(mod.lam[j - 1] % mod.p for j in J)
+
+
+def test_kept_levi_peels_give_the_cold_vectors(monkeypatch):
+    # maximal_vectors cold, where the first row over each head peels the
+    # Levi x_j table and keeps L0, and warm, where every row over a head of
+    # dim > 1 starts at L0: equal to each other and to the per-class oracle.
+    # Each LEVI_HEAD_CASES module, and every row of three sweep families,
+    # twice on one algebra; rows over one head share one entry
+    starts = _kernel_starts(monkeypatch)
+    families = [[case] for case in LEVI_HEAD_CASES] + [
+        [(typ, rank, False, p, I, lam) for lam in RootSystem(typ, rank).regular_alcove_weights(p)]
+        for typ, rank, p, I in [("A", 2, 11, (1,)), ("A", 3, 5, (1,)), ("C", 2, 7, (1,))]
+    ]
+    over_heads = 0
+    for family in families:
+        typ, rank, flip, p, I, _ = family[0]
+        alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+        runs = []
+        for warm in (False, True):
+            mods = [build_parabolic_baby_verma(alg, _chi(alg, p, I), lam) for *_, lam in family]
+            del starts[:]  # the heads' own checks
+            runs.append([maximal_vectors(mod) for mod in mods])
+            heads = {_levi_part(mod) for mod in mods if mod.levi.dim > 1}
+            assert len(alg.levi_peels) == len(heads) > 0
+            started = [start is not None for mod, start in zip(mods, starts) if mod.levi.dim > 1]
+            assert started.count(False) == (0 if warm else len(heads))
+        assert runs[0] == runs[1]
+        for mod, got in zip(mods, runs[1]):
+            want = maximal_vectors_per_class(mod)
+            assert got == want and list(got) == list(want)
+        over_heads += len(started)
+    assert over_heads == len(LEVI_HEAD_CASES) + 36 + 2 + 2
+
+
+class _OneColumnChanged:
+    """base, read through the module interface, with key's column at b
+    replaced by col."""
+
+    def __init__(self, base, key, b, col):
+        self.base, self.key, self.b, self.col = base, key, b, col
+        self.dim, self.high, self.lam = base.dim, base.high, base.lam
+        self.grades, self.drops = base.grades, base.drops
+
+    def act_basis(self, key, b):
+        return self.col if (key, b) == (self.key, self.b) else self.base.act_basis(key, b)
+
+
+def test_a_changed_levi_column_misses_the_kept_peel():
+    # a base of the same family and dim whose first Levi x_j kills one more
+    # basis vector gets its own entry, with fewer live columns, and its own
+    # vectors: a hit on the first entry would give the first module's
+    alg = ChevalleyAlgebra(RootSystem("A", 2))
+    mod = build_parabolic_baby_verma(alg, _chi(alg, 13, (1,)), (0, 10))
+    want = maximal_vectors(mod)
+    x2 = ("x", alg.rs.simple(2))
+    b = next(b for b in range(mod.levi.dim) if mod.levi.act_basis(x2, b))
+    changed = modules.InducedModule(alg, mod.chi, mod.order, _OneColumnChanged(mod.levi, x2, b, {}))
+    got = maximal_vectors(changed)
+    first, second = alg.levi_peels.values()
+    assert len(second) < len(first) and got != want
+    assert got == maximal_vectors_per_class(changed)
+    again = build_parabolic_baby_verma(alg, _chi(alg, 13, (1,)), (0, 10))
+    assert maximal_vectors(again) == maximal_vectors(mod) and len(alg.levi_peels) == 2
+
+
+@pytest.mark.parametrize(
+    "typ, rank, p, I, lams",
+    [("A", 3, 7, (1,), [(0, 1, 2), (1, 1, 2)]), ("A", 2, 13, (1,), [(0, 10), (1, 10)])],
+)
+def test_a_kept_peel_makes_no_x_table(monkeypatch, typ, rank, p, I, lams):
+    # a second row over the same head reads every x_i joined per column, at
+    # the kept L0 alone, each column once, and makes no x table
+    alg = ChevalleyAlgebra(RootSystem(typ, rank))
+    first = build_parabolic_baby_verma(alg, _chi(alg, p, I), lams[0])
+    maximal_vectors(first)
+    ((kept,),) = [alg.levi_peels.values()]
+    assert 0 < len(kept) < first.dim
+    reads = {}
+    join = modules.InducedModule._join
+
+    def spy_join(self, key):
+        cols = join(self, key)
+
+        def logged(ranks, ls):
+            reads.setdefault(key, []).extend(r * self.levi.dim + l for r in ranks for l in ls)
+            return cols(ranks, ls)
+
+        return logged
+
+    monkeypatch.setattr(modules.InducedModule, "_join", spy_join)
+    mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lams[1])
+    assert _levi_part(mod) == _levi_part(first) and mod.levi.dim > 1
+    got = maximal_vectors(mod)
+    assert [key for key in mod._cols if key[0] == "x"] == []
+    assert sorted(reads) == sorted(("x", alg.rs.simple(i)) for i in range(1, rank + 1))
+    assert all(cols == list(kept) for cols in reads.values())
+    assert got == maximal_vectors_per_class(mod) and len(alg.levi_peels) == 1
+
+
 @pytest.mark.parametrize(
     "typ, rank, flip, p, I, lam",
     LEVI_HEAD_CASES,
