@@ -1,12 +1,24 @@
 """Sparse linear algebra over the prime field F_p.
 
 Vectors are dicts {index: coeff} with coeffs in 1..p-1 (zero entries are
-never stored). Linear operators are dicts {col_index: image_vector}, i.e.
-column form; missing columns act as zero, or an operator applies itself
-to a whole vector through apply(vec), as modules._RowsAt does.  What
-reads an operator only by column (apply_columns, joint_kernel past ops[0]
-or from given columns) needs just get(j), column j or None.  The hot
-loops write the axpy out rather than call addmul once per row touched.
+never stored).  An operator is read through one protocol, of which a
+reader offers a part:
+  - a table, a dict {col_index: image_vector} (column form, missing
+    columns act as zero), read whole by joint_kernel as ops[0] and in
+    place, column by column, everywhere else;
+  - get(j), column j or None: what apply_columns reads, and what
+    joint_kernel reads past ops[0] or from given columns where a reader
+    has no many;
+  - many(js), the nonempty columns at the ascending indices js as a dict:
+    joint_kernel reads each operator there once, at its live columns, so
+    a reader can make them in blocks (modules.InducedModule joins them one
+    rank at a time);
+  - apply(vec), the image of a whole vector: apply_columns uses it first,
+    as modules._RowsAt offers it.
+apply_columns stays on get(j): a closure applies each vector once, on
+its own support, and sorting that support for many was measured slower
+than the single reads.  The hot loops write the axpy out rather than
+call addmul once per row touched.
 """
 
 from collections import deque
@@ -159,8 +171,11 @@ def joint_kernel(ops, dim, p, grade=None, cols=None, after=None):
     peeled e_j lies in the row space, so the RREF is the e_j and the RREF of
     the live columns' equations, the only ones built and solved.
 
-    ops[0] is read whole, each later op once through get(j) at the columns
-    live after the ops before it are peeled, and the peel runs again.  The
+    ops[0] is read whole, each later op once at the columns live after the
+    ops before it are peeled, and the peel runs again.  A table is read
+    there in place, any other op through many(live columns) if it has
+    many, else through get(j) at each; the kills and the equations read an
+    op only at columns live when it was read, so no copy is needed.  The
     peel is confluent: a kill only lowers counts, so an equation with one
     live column keeps it until it is killed, and every order of kills ends
     at the one live set where no equation has a single live column.  A
@@ -168,10 +183,10 @@ def joint_kernel(ops, dim, p, grade=None, cols=None, after=None):
     live counts: nullspace gets the same columns, so the same vectors.
 
     cols, ascending, starts the peel there: every op, ops[0] too, is read
-    through get(j) at live columns alone.  That is exact when cols is the
-    live set a peel of some of the equations leaves (after a prefix of ops,
-    say): each kill of that peel is one of the full peel, so the full peel
-    reaches cols and, being confluent, ends at the same live set.  after =
+    so, at live columns alone.  That is exact when cols is the live set a
+    peel of some of the equations leaves (after a prefix of ops, say): each
+    kill of that peel is one of the full peel, so the full peel reaches
+    cols and, being confluent, ends at the same live set.  after =
     (t, f) calls f with the live columns once ops[:t] are read and peeled,
     which is such a set for the next call: modules.maximal_vectors keeps
     it after the Levi x_j, keyed by all those operators' columns depend on
@@ -181,10 +196,16 @@ def joint_kernel(ops, dim, p, grade=None, cols=None, after=None):
     count, total, live = [0] * (dim * T), [0] * (dim * T), [True] * dim
     cols = range(dim) if whole else cols
     for t, op in enumerate(ops):
-        if t or not whole:
-            op = {j: col for j in cols if live[j] and (col := op.get(j))}
+        if t == 0 and whole:
+            read = op.items()
+        elif isinstance(op, dict):
+            read = ((j, col) for j in cols if live[j] and (col := op.get(j)))
+        else:
+            js = (j for j in cols if live[j])
+            op = op.many(js) if hasattr(op, "many") else {j: col for j in js if (col := op.get(j))}
+            read = op.items()
         tops.append((t, op))
-        for j, col in op.items():
+        for j, col in read:
             for i, c in col.items():
                 if c % p:
                     count[i * T + t] += 1

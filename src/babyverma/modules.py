@@ -43,8 +43,9 @@ the per-class RREFs, each on its indices in ascending order, and every
 peeled e_j lies in the row space: the RREF is the e_j and that of the rest.
 It reads the first x_i whole, the others where its peel leaves columns
 live: over a base of dim > 1 a Levi x_j first, its table joined from the
-family rows, then every other x_i joined per column, so no slot x_i table
-is made; over a one-dimensional base each x_i is its straightened table.
+family rows, then every other x_i joined at the live columns, one join
+per rank, so no slot x_i table is made; over a one-dimensional base each
+x_i is its straightened table.
 The Levi x_j read neither h nor lam, only the family rows and the base's
 own action, so the live set L0 their peel leaves is kept per algebra,
 keyed by that content; a later row over an equal head reads every x_i
@@ -351,14 +352,23 @@ class InducedModule(ModuleBase):
         return self.op_matrix(key)
 
     def _joined(self, key):
-        # key's columns joined one at a time from the family rows
+        # key's columns joined from the family rows: get(b) the one column,
+        # many(bs) those at the ascending bs, one join per rank
         cols, ldim = self._join(key), self.levi.dim
-        return SimpleNamespace(get=lambda b: cols((b // ldim,), (b % ldim,)).get(b))
+
+        def many(bs):
+            out = {}
+            for r, at in itertools.groupby(bs, ldim.__rfloordiv__):
+                out.update(cols((r,), [b - r * ldim for b in at]))
+            return out
+
+        return SimpleNamespace(get=lambda b: cols((b // ldim,), (b % ldim,)).get(b), many=many)
 
     def raising_ops(self):
         # over a base of dim > 1 the Levi x_j first, then the slot x_i, each
-        # not yet a table joined per column; joint_kernel starts at a kept
-        # L0, or keeps it once the Levi x_j are peeled (see maximal_vectors)
+        # not yet a table joined at the live columns, one join per rank;
+        # joint_kernel starts at a kept L0, or keeps it once the Levi x_j
+        # are peeled (see maximal_vectors)
         if self.levi.dim == 1:
             return super().raising_ops()
         xs = [("x", g) for g in sorted(map(self.rs.simple, self.active), key=self.slot.__contains__)]
@@ -388,7 +398,8 @@ class InducedModule(ModuleBase):
         ldim, p, act, g = self.levi.dim, self.p, self.levi.act_basis, gkey[1]
         (_, off, rk, cf), *parts = self._levi_rows(gkey)
         parts = [(rows, [act(q, l).items() for l in range(ldim)]) for q, *rows in parts]
-        own = [() if g in self.slot else act(gkey, l).items() for l in range(ldim)]
+        own = [() if g in self.slot else [(l2, c % p) for l2, c in act(gkey, l).items() if c % p]
+               for l in range(ldim)]
         if s := g in self.slot and self.stride[self.slot[g]]:
             h = [act(("h", g.index(1) + 1), l).items() for l in range(ldim)]
 
@@ -415,7 +426,7 @@ class InducedModule(ModuleBase):
                                 if v := (col.get(r2 + l2, 0) + c * c2) % p:
                                     col[r2 + l2] = v
                                 else:
-                                    del col[r2 + l2]
+                                    col.pop(r2 + l2, None)
                     if col:
                         out[b + l] = col
             return out
@@ -810,7 +821,7 @@ def maximal_vectors(mod):
     and what _join reads of the base for them, g l and P l for each part P
     of _levi_rows(g): alg.levi_peels keeps L0 per that content, as an
     array of indices.  A hit starts joint_kernel at L0, each x_i read there
-    alone, joined per column unless a table is made; a miss peels as
+    alone, one join per rank unless a table is made; a miss peels as
     above, the first Levi x_j whole, keeps L0 once the Levi x_j are peeled
     and goes on with the slot x_i, so no operator is read twice.  Exact:
     every column outside L0 vanishes on the Levi x_j's joint kernel, so on

@@ -331,6 +331,65 @@ def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
     assert stalled > 80 and peeled > 80 and staged > 80 and subset > 80
 
 
+class _LoggedTable(dict):
+    """A column table that logs each column read through get and fails
+    if anything iterates it whole."""
+
+    def __init__(self, op):
+        super().__init__(op)
+        self.read = []
+
+    def get(self, j, default=None):
+        self.read.append(j)
+        return super().get(j, default)
+
+    def _whole(self, *args):
+        raise AssertionError("a table handed in with cols was iterated whole")
+
+    __iter__ = keys = values = items = _whole
+
+
+class _Many:
+    """A reader that offers many(js) and logs the indices of each call;
+    get fails."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, []
+
+    def get(self, j):
+        raise AssertionError("get called on a reader with many")
+
+    def many(self, js):
+        self.calls.append(list(js))
+        return {j: col for j in self.calls[-1] if (col := self.op.get(j))}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_joint_kernel_reads_tables_in_place_and_readers_through_many(monkeypatch, p):
+    # started at the live set of a prefix's peel, a table is read in place
+    # at live columns alone, never iterated whole, and a reader with many
+    # is read once through it, at exactly the columns a get-only reader
+    # is read at: both give the unpeeled vectors, flat and graded
+    seen = _live_columns(monkeypatch)
+    rng = random.Random(200 + p)
+    for _ in range(100):
+        dim = rng.randrange(0, 13)
+        classes = rng.randrange(1, 5)
+        ops = _random_sparse_ops(rng, dim, p, classes)
+        want = _kernel_unpeeled(ops, dim, p)
+        t = rng.randrange(1, len(ops) + 1)
+        joint_kernel(ops[:t], dim, p)
+        prefix = seen[-1]
+        for grade in (None, [j % classes for j in range(dim)]):
+            tables = [_LoggedTable(op) for op in ops]
+            assert joint_kernel(tables, dim, p, grade, prefix) == want
+            assert all(set(table.read) <= set(prefix) for table in tables)
+            logged, many = [_Logged(op) for op in ops], [_Many(op) for op in ops]
+            assert joint_kernel(logged, dim, p, grade, prefix) == want
+            assert joint_kernel(many, dim, p, grade, prefix) == want
+            assert [r.calls for r in many] == [[r.read] for r in logged]
+
+
 def test_span_closure_cyclic():
     # shift operator on F_3^3: closure of e0 is everything
     op = {0: {1: 1}, 1: {2: 1}, 2: {0: 1}}

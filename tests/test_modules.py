@@ -1862,6 +1862,106 @@ def test_a_kept_peel_makes_no_x_table(monkeypatch, typ, rank, p, I, lams):
 
 
 @pytest.mark.parametrize(
+    "typ, rank, p, I, lams",
+    [("A", 3, 7, (1,), [(0, 1, 2), (1, 1, 2)]), ("A", 2, 13, (1,), [(0, 10), (1, 10)])],
+)
+def test_a_kept_peel_joins_once_per_rank(monkeypatch, typ, rank, p, I, lams):
+    # on a hit each x_i's columns at L0 come from one join per rank that L0
+    # meets, at that rank's indices in L0, not from one join per column
+    alg = ChevalleyAlgebra(RootSystem(typ, rank))
+    maximal_vectors(build_parabolic_baby_verma(alg, _chi(alg, p, I), lams[0]))
+    ((kept,),) = [alg.levi_peels.values()]
+    calls = {}
+    join = modules.InducedModule._join
+
+    def spy_join(self, key):
+        cols = join(self, key)
+
+        def logged(ranks, ls):
+            calls.setdefault(key, []).append((list(ranks), list(ls)))
+            return cols(ranks, ls)
+
+        return logged
+
+    monkeypatch.setattr(modules.InducedModule, "_join", spy_join)
+    mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lams[1])
+    got = maximal_vectors(mod)
+    ldim = mod.levi.dim
+    per_rank = [([r], [b % ldim for b in bs]) for r, bs in itertools.groupby(kept, lambda b: b // ldim)]
+    assert len(per_rank) < len(kept)
+    assert sorted(calls) == sorted(("x", alg.rs.simple(i)) for i in range(1, rank + 1))
+    assert all(made == per_rank for made in calls.values())
+    assert got == maximal_vectors_per_class(mod)
+
+
+def test_many_reads_the_columns_get_reads():
+    # every x_i reader that raising_ops hands over with many gives, at
+    # ascending indices, the nonempty columns get gives there: on a miss at
+    # every index and at every third, on a hit at the kept L0.  Each
+    # LEVI_HEAD_CASES module twice on one algebra, and every A2 p=11 I={1}
+    # row over a head of dim > 1
+    a2 = RootSystem("A", 2)
+    families = [[case, case] for case in LEVI_HEAD_CASES] + [
+        [("A", 2, False, 11, (1,), lam) for lam in a2.regular_alcove_weights(11)]
+    ]
+    checked = {False: 0, True: 0}
+    for family in families:
+        typ, rank, flip, p, I, _ = family[0]
+        alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+        for *_, lam in family:
+            mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+            if mod.levi.dim == 1:
+                continue
+            ops, cols, _ = mod.raising_ops()
+            starts = [cols] if cols is not None else [range(mod.dim), range(0, mod.dim, 3)]
+            for op in ops:
+                if hasattr(op, "many"):
+                    for js in starts:
+                        assert op.many(js) == {j: col for j in js if (col := op.get(j))}
+                    checked[cols is not None] += 1
+            maximal_vectors(mod)
+    assert checked[False] > 0 and checked[True] > 0
+
+
+class _Unreduced:
+    """base, read through the module interface, with each coefficient c of
+    its action returned as c + p, and p at b in column b where the action
+    has no entry there: the same action mod p, unreduced."""
+
+    def __init__(self, base):
+        self.base, self.p = base, base.p
+        self.dim, self.high, self.lam = base.dim, base.high, base.lam
+        self.grades, self.drops = base.grades, base.drops
+
+    def act_basis(self, key, b):
+        col = {k: c + self.p for k, c in self.base.act_basis(key, b).items()}
+        col.setdefault(b, self.p)
+        return col
+
+
+UNREDUCED_CASES = [LEVI_HEAD_CASES[k] for k in (0, 3, 6)]
+
+
+@pytest.mark.parametrize(
+    "typ, rank, flip, p, I, lam",
+    UNREDUCED_CASES,
+    ids=[
+        "%s%d-p%d-I%s-lam%s" % (t, n, p, "".join(map(str, I)), "".join(map(str, lam)))
+        for t, n, f, p, I, lam in UNREDUCED_CASES
+    ],
+)
+def test_joins_over_an_unreduced_base_equal_the_reduced_ones(typ, rank, flip, p, I, lam):
+    # a base that returns p where it means 0, and c + p for c: every Levi
+    # key's and slot x_i's joined columns equal those over the base itself
+    alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
+    mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
+    odd = modules.InducedModule(alg, mod.chi, mod.order, _Unreduced(mod.levi))
+    ranks, ls = range(p**mod.m), range(mod.levi.dim)
+    for key in _levi_keys(mod) + _slot_x_keys(mod):
+        assert odd._join(key)(ranks, ls) == mod._join(key)(ranks, ls), key
+
+
+@pytest.mark.parametrize(
     "typ, rank, flip, p, I, lam",
     LEVI_HEAD_CASES,
     ids=[
