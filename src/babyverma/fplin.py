@@ -4,17 +4,15 @@ Vectors are dicts {index: coeff} with coeffs in 1..p-1 (zero entries are
 never stored).  An operator is read through one protocol, of which a
 reader offers a part:
   - a table, a dict {col_index: image_vector} (column form, missing
-    columns act as zero), read whole by joint_kernel as ops[0] and in
-    place, column by column, everywhere else;
-  - get(j), column j or None: what apply_columns reads, and what
-    joint_kernel reads past ops[0] or from given columns where a reader
-    has no many;
+    columns act as zero): peel, so joint_kernel, reads it in place at
+    the live columns, column by column, and apply_columns reads it too;
   - many(js), the nonempty columns at the ascending indices js as a dict:
-    joint_kernel reads each operator there once, at its live columns, so
+    peel reads every other operator there once, at its live columns, so
     a reader can make them in blocks (modules.InducedModule joins them one
     rank at a time);
-  - apply(vec), the image of a whole vector: apply_columns uses it first,
-    as modules._RowsAt offers it.
+  - get(j), column j or None, and apply(vec), the image of a whole
+    vector, are what the closures read: apply_columns uses apply first,
+    as modules._RowsAt offers it, else get.
 apply_columns stays on get(j): a closure applies each vector once, on
 its own support, and sorting that support for many was measured slower
 than the single reads.  The hot loops write the axpy out rather than
@@ -162,50 +160,39 @@ def nullspace(equations, ncols, p, cols=None, grade=None):
     return out
 
 
-def joint_kernel(ops, dim, p, grade=None, cols=None, after=None):
-    """Common kernel of column-form operators on F_p^dim, as nullspace of
-    the equations "row i of op t" gives it (grade as there).  First a peel:
-    an equation with one live column j forces x_j = 0, so j is dropped and
-    its equations lose it, until none has one.  Equation i*len(ops)+t keeps
-    its live count and live column sum, the column itself at count 1.  Each
-    peeled e_j lies in the row space, so the RREF is the e_j and the RREF of
-    the live columns' equations, the only ones built and solved.
+def peel(ops, dim, p, cols=None):
+    """The live columns, ascending, of the equations "row i of op t" of
+    column-form operators on F_p^dim, and the ops as read.  An equation
+    with one live column j forces x_j = 0 on the joint kernel, so j is
+    dropped and its equations lose it, until none has one.  Equation
+    i*len(ops)+t keeps its live count and live column sum, the column
+    itself at count 1.
 
-    ops[0] is read whole, each later op once at the columns live after the
-    ops before it are peeled, and the peel runs again.  A table is read
-    there in place, any other op through many(live columns) if it has
-    many, else through get(j) at each; the kills and the equations read an
-    op only at columns live when it was read, so no copy is needed.  The
-    peel is confluent: a kill only lowers counts, so an equation with one
-    live column keeps it until it is killed, and every order of kills ends
-    at the one live set where no equation has a single live column.  A
-    staged kill is one of the full peel, the counts of the ops read being
-    live counts: nullspace gets the same columns, so the same vectors.
+    Each op is read once, at the columns live after the ops before it are
+    peeled, and the peel runs again: a table in place, any other op
+    through many(live columns).  The kills read an op only at columns
+    live when it was read, so no copy is needed.  The peel is confluent:
+    a kill only lowers counts, so an equation with one live column keeps
+    it until it is killed, and every order of kills ends at the one live
+    set where no equation has a single live column.  A staged kill is one
+    of the full peel, the counts of the ops read being live counts.
 
-    cols, ascending, starts the peel there: every op, ops[0] too, is read
-    so, at live columns alone.  That is exact when cols is the live set a
-    peel of some of the equations leaves (after a prefix of ops, say): each
-    kill of that peel is one of the full peel, so the full peel reaches
-    cols and, being confluent, ends at the same live set.  after =
-    (t, f) calls f with the live columns once ops[:t] are read and peeled,
-    which is such a set for the next call: modules.maximal_vectors keeps
-    it after the Levi x_j, keyed by all those operators' columns depend on
-    (the family, the base's dim and the base columns they read), and
-    starts each later module with an equal key there."""
-    T, tops, whole = len(ops), [], cols is None
+    cols, ascending, starts the peel there, every op read at live columns
+    alone.  That is exact when cols is the live set a peel of some of the
+    equations leaves (peel(ops[:t]), say): each kill of that peel is one
+    of the full peel, so the full peel reaches cols and, being confluent,
+    ends at the same live set."""
+    T, read = len(ops), []
     count, total, live = [0] * (dim * T), [0] * (dim * T), [True] * dim
-    cols = range(dim) if whole else cols
+    cols = range(dim) if cols is None else cols
     for t, op in enumerate(ops):
-        if t == 0 and whole:
-            read = op.items()
-        elif isinstance(op, dict):
-            read = ((j, col) for j in cols if live[j] and (col := op.get(j)))
+        if isinstance(op, dict):
+            at = ((j, col) for j in cols if live[j] and (col := op.get(j)))
         else:
-            js = (j for j in cols if live[j])
-            op = op.many(js) if hasattr(op, "many") else {j: col for j in js if (col := op.get(j))}
-            read = op.items()
-        tops.append((t, op))
-        for j, col in read:
+            op = op.many(j for j in cols if live[j])
+            at = op.items()
+        read.append(op)
+        for j, col in at:
             for i, c in col.items():
                 if c % p:
                     count[i * T + t] += 1
@@ -215,20 +202,29 @@ def joint_kernel(ops, dim, p, grade=None, cols=None, after=None):
             if count[e := stack.pop()] == 1:
                 j = total[e]
                 live[j] = False
-                for s, read in tops:
-                    for i, c in read.get(j, {}).items():
+                for s, seen in enumerate(read):
+                    for i, c in seen.get(j, {}).items():
                         if c % p:
                             e = i * T + s
                             count[e] -= 1
                             total[e] -= j
                             if count[e] == 1:
                                 stack.append(e)
-        if after and t + 1 == after[0]:
-            after[1]([j for j in cols if live[j]])
-    cols = [j for j in cols if live[j]]
-    eqs = {}
+    return [j for j in cols if live[j]], read
+
+
+def joint_kernel(ops, dim, p, grade=None, cols=None):
+    """Common kernel of column-form operators on F_p^dim, as nullspace of
+    the equations "row i of op t" (grade as there), after their peel
+    (cols as there).  Each peeled e_j lies in the row space, so the RREF
+    is the e_j and the RREF of the live columns' equations, the only ones
+    built and solved: the vectors do not depend on where the peel starts
+    or in what order it kills.  modules.maximal_vectors keeps the live set
+    of the Levi x_j's peel per head and starts every module over it there."""
+    cols, read = peel(ops, dim, p, cols)
+    T, eqs = len(read), {}
     for j in cols:
-        for t, op in tops:
+        for t, op in enumerate(read):
             for i, c in op.get(j, {}).items():
                 if c % p:
                     eqs.setdefault(i * T + t, {})[j] = c

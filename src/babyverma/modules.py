@@ -41,15 +41,15 @@ elimination per module gives exactly the per-class kernels: x_t maps class
 (wt, drop) into (wt + alpha_t, drop - alpha_t), so the RREF is the union of
 the per-class RREFs, each on its indices in ascending order, and every
 peeled e_j lies in the row space: the RREF is the e_j and that of the rest.
-It reads the first x_i whole, the others where its peel leaves columns
-live: over a base of dim > 1 a Levi x_j first, its table joined from the
-family rows, then every other x_i joined at the live columns, one join
-per rank, so no slot x_i table is made; over a one-dimensional base each
-x_i is its straightened table.
-The Levi x_j read neither h nor lam, only the family rows and the base's
-own action, so the live set L0 their peel leaves is kept per algebra,
-keyed by that content; a later row over an equal head reads every x_i
-at L0 alone and makes no x table (see maximal_vectors).
+It reads each x_i where the peel of those before it leaves columns live:
+over a one-dimensional base each x_i is its straightened table; over a
+base of dim > 1 the Levi x_j come first, then the slot x_i, each joined
+from the family rows at the live columns, one join per rank, so no x
+table is made.  The Levi x_j read neither h nor lam, only the family
+rows and the base's own action, so the live set L0 their peel leaves is
+kept per algebra, keyed by that content: the first row over a head
+peels them alone to make it, and every row, first or later, reads every
+x_i at L0 alone (see maximal_vectors).
 
 Each generation test is a span closure graded by weight mod p: one
 echelon whose rows each lie in one weight class, so a new row is
@@ -89,7 +89,7 @@ import random
 from array import array
 from types import SimpleNamespace
 
-from .fplin import Echelon, addmul, apply_columns, fp_inv, joint_kernel, span_closure
+from .fplin import Echelon, addmul, apply_columns, fp_inv, joint_kernel, peel, span_closure
 from .chevalley import PChar
 from .pbw import fix_order
 from .roots import LeviDatum
@@ -165,6 +165,7 @@ class ModuleBase:
         # what a line closure reads key's columns through: here its table
         return self.op_matrix(key)
 
+    # unused in src/; perfbench's tables workload and the tests call it (ROADMAP item 8)
     def xy_ops(self):
         ops = []
         for i in self.active:
@@ -174,8 +175,8 @@ class ModuleBase:
         return ops
 
     def raising_ops(self):
-        # the active x_i as tables, and joint_kernel's cols and after: none
-        return [self.op_matrix(("x", self.rs.simple(i))) for i in self.active], None, None
+        # the active x_i as tables, and joint_kernel's cols: none
+        return [self.op_matrix(("x", self.rs.simple(i))) for i in self.active], None
 
     def weight_classes(self):
         """Basis indices grouped by weight mod p, then by drop mod p, in
@@ -366,18 +367,17 @@ class InducedModule(ModuleBase):
 
     def raising_ops(self):
         # over a base of dim > 1 the Levi x_j first, then the slot x_i, each
-        # not yet a table joined at the live columns, one join per rank;
-        # joint_kernel starts at a kept L0, or keeps it once the Levi x_j
-        # are peeled (see maximal_vectors)
+        # not yet a table joined at the live columns, one join per rank, and
+        # L0, the Levi x_j's peel, kept per head (see maximal_vectors)
         if self.levi.dim == 1:
             return super().raising_ops()
         xs = [("x", g) for g in sorted(map(self.rs.simple, self.active), key=self.slot.__contains__)]
         levi = [k for k in xs if k[1] not in self.slot]
         memo, key = self.alg.levi_peels, self._levi_peel_key(levi)
-        if key in memo:
-            return [self._cols.get(k) or self._joined(k) for k in xs], memo[key], None
-        after = len(levi), lambda live: memo.setdefault(key, array("I", live))
-        return [self.op_matrix(xs[0])] + [self._cols.get(k) or self._joined(k) for k in xs[1:]], None, after
+        ops = [self._cols.get(k) or self._joined(k) for k in xs]
+        if key not in memo:
+            memo[key] = array("I", peel(ops[: len(levi)], self.dim, self.p)[0])
+        return ops, memo[key]
 
     def _levi_peel_key(self, levi):
         # all that the Levi x_j's columns, so their peel, depend on: the
@@ -820,21 +820,21 @@ def maximal_vectors(mod):
     function of the family (p, u_J^- order, chi on the slots), levi.dim
     and what _join reads of the base for them, g l and P l for each part P
     of _levi_rows(g): alg.levi_peels keeps L0 per that content, as an
-    array of indices.  A hit starts joint_kernel at L0, each x_i read there
-    alone, one join per rank unless a table is made; a miss peels as
-    above, the first Levi x_j whole, keeps L0 once the Levi x_j are peeled
-    and goes on with the slot x_i, so no operator is read twice.  Exact:
-    every column outside L0 vanishes on the Levi x_j's joint kernel, so on
-    all the x_i's, and the peel being confluent, nullspace gets the same
-    live columns and equations, so the same vectors in the same order."""
-    (ops, cols, after), classes = mod.raising_ops(), mod.weight_classes()
+    array of indices.  A miss first peels the Levi x_j alone, each joined
+    at the live columns, and keeps L0; hit or miss, joint_kernel then
+    starts at L0, each x_i read there alone, in place if its table is
+    made, else one join per rank, so no x table is made.  Exact: every
+    column outside L0 vanishes on the Levi x_j's joint kernel, so on all
+    the x_i's, and the peel being confluent, nullspace gets the same live
+    columns and equations, so the same vectors in the same order."""
+    (ops, cols), classes = mod.raising_ops(), mod.weight_classes()
     keys = [(wt, kap) for wt, groups in classes.items() for kap in groups]
     cid = [0] * mod.dim
     for k, (wt, kap) in enumerate(keys):
         for b in classes[wt][kap]:
             cid[b] = k
     found = {}
-    for v in joint_kernel(ops, mod.dim, mod.p, cid, cols, after):
+    for v in joint_kernel(ops, mod.dim, mod.p, cid, cols):
         found.setdefault(cid[next(iter(v))], []).append(v)
     return {keys[k]: found[k] for k in sorted(found)}
 

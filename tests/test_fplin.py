@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from babyverma.fplin import (
     fp_inv,
     joint_kernel,
     nullspace,
+    peel,
     span_closure,
 )
 
@@ -267,25 +269,27 @@ def _random_sparse_ops(rng, dim, p, classes):
 
 
 class _Logged:
-    """A get-only reader of a column-form op that logs the columns read."""
+    """A reader of a column-form op through many(js) alone that logs the
+    indices of each call."""
 
     def __init__(self, op):
-        self.op, self.read = op, []
+        self.op, self.calls = op, []
 
-    def get(self, j):
-        self.read.append(j)
-        return self.op.get(j)
+    def many(self, js):
+        self.calls.append(list(js))
+        return {j: col for j in self.calls[-1] if (col := self.op.get(j))}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
     # seeded random sparse systems, flat and graded, entries 0 mod p
     # included: the same vectors, each with its free column first.  Read
-    # through get alone, every op after the first is read once at each
-    # column live after the peel of the ops before it, and nowhere else.
-    # The peel ends where no equation of any op has one live column.  A run
-    # started at the live set of a prefix's peel reads the prefix there
-    # alone and gives the same vectors
+    # through many, every op is read once, at the columns live after the
+    # peel of the ops before it, and nowhere else; tables come back as
+    # read, in place.  The peel ends where no equation of any op has one
+    # live column.  The live set peel(ops[:t]) leaves starts a run that
+    # reads the prefix's ops there exactly, every later op at live columns
+    # alone, and gives the same vectors
     seen = _live_columns(monkeypatch)
     rng = random.Random(100 + p)
     stalled = peeled = staged = subset = 0
@@ -301,34 +305,51 @@ def test_joint_kernel_matches_the_unpeeled_nullspace(monkeypatch, p):
         stalled += len(seen[-1]) > 0
         peeled += len(seen[-1]) < dim
         live = seen[-1]
+        assert peel(ops, dim, p)[0] == live
+        assert all(a is b for a, b in zip(peel(ops, dim, p)[1], ops))
         for op in ops:
             counts = collections.Counter(i for j in live for i, c in op.get(j, {}).items() if c % p)
             assert 1 not in counts.values()
-        readers = [_Logged(op) for op in ops[1:]]
-        assert joint_kernel(ops[:1] + readers, dim, p) == want
+        readers = [_Logged(op) for op in ops]
+        assert joint_kernel(readers, dim, p) == want
         assert seen[-1] == live
-        for t, reader in enumerate(readers, 1):
+        for t, reader in enumerate(readers):
             joint_kernel(ops[:t], dim, p)
-            assert reader.read == seen[-1]
-            staged += len(reader.read) < dim
-        # the live set after a prefix ops[:t] is peeled, kept by after on a
-        # run that reads every op once, starts a run at the same kernel
+            assert reader.calls == [seen[-1]]
+            staged += len(seen[-1]) < dim
         for t in range(1, len(ops) + 1):
-            kept, readers = [], [_Logged(op) for op in ops[1:]]
-            got = joint_kernel(ops[:1] + readers, dim, p, after=(t, kept.append))
-            assert got == want and len(kept) == 1
-            prefix = kept[0]
-            assert all(len(set(r.read)) == len(r.read) for r in readers)
+            prefix = peel(ops[:t], dim, p)[0]
             joint_kernel(ops[:t], dim, p)
             assert prefix == seen[-1]
             readers = [_Logged(op) for op in ops]
             assert joint_kernel(readers, dim, p, cols=prefix) == want
             assert joint_kernel(ops, dim, p, [j % classes for j in range(dim)], prefix) == want
             assert seen[-1] == live
-            assert all(r.read == prefix for r in readers[:t])
-            assert all(set(r.read) <= set(prefix) for r in readers)
+            assert all(r.calls == [prefix] for r in readers[:t])
+            assert all(len(r.calls) == 1 and set(r.calls[0]) <= set(prefix) for r in readers)
             subset += t < len(ops) and len(prefix) < dim
     assert stalled > 80 and peeled > 80 and staged > 80 and subset > 80
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_order_of_the_ops_peels_to_one_live_set(p):
+    # the peel is confluent: the same seeded systems, their ops in every
+    # order, each read at other live columns and killed in another order,
+    # end at one live set and give the same vectors, flat and graded
+    rng = random.Random(100 + p)
+    reordered = 0
+    for _ in range(150):
+        dim = rng.randrange(0, 13)
+        classes = rng.randrange(1, 5)
+        ops = _random_sparse_ops(rng, dim, p, classes)
+        grade = [j % classes for j in range(dim)]
+        live, want = peel(ops, dim, p)[0], joint_kernel(ops, dim, p)
+        for order in itertools.permutations(ops):
+            assert peel(list(order), dim, p)[0] == live
+            assert joint_kernel(list(order), dim, p) == want
+            assert joint_kernel(list(order), dim, p, grade) == want
+        reordered += len(ops) > 1 and 0 < len(live) < dim
+    assert reordered > 30
 
 
 class _LoggedTable(dict):
@@ -344,33 +365,18 @@ class _LoggedTable(dict):
         return super().get(j, default)
 
     def _whole(self, *args):
-        raise AssertionError("a table handed in with cols was iterated whole")
+        raise AssertionError("a table was iterated whole")
 
     __iter__ = keys = values = items = _whole
 
 
-class _Many:
-    """A reader that offers many(js) and logs the indices of each call;
-    get fails."""
-
-    def __init__(self, op):
-        self.op, self.calls = op, []
-
-    def get(self, j):
-        raise AssertionError("get called on a reader with many")
-
-    def many(self, js):
-        self.calls.append(list(js))
-        return {j: col for j in self.calls[-1] if (col := self.op.get(j))}
-
-
 @pytest.mark.parametrize("p", [3, 5])
-def test_joint_kernel_reads_tables_in_place_and_readers_through_many(monkeypatch, p):
-    # started at the live set of a prefix's peel, a table is read in place
-    # at live columns alone, never iterated whole, and a reader with many
-    # is read once through it, at exactly the columns a get-only reader
-    # is read at: both give the unpeeled vectors, flat and graded
-    seen = _live_columns(monkeypatch)
+def test_joint_kernel_reads_tables_in_place_and_readers_through_many(p):
+    # a table is read in place at live columns alone, never iterated
+    # whole, from every column or from the live set of a prefix's peel;
+    # a reader is read once through many, at the columns live once the
+    # ops before it are peeled from there: both give the unpeeled
+    # vectors, flat and graded
     rng = random.Random(200 + p)
     for _ in range(100):
         dim = rng.randrange(0, 13)
@@ -378,16 +384,15 @@ def test_joint_kernel_reads_tables_in_place_and_readers_through_many(monkeypatch
         ops = _random_sparse_ops(rng, dim, p, classes)
         want = _kernel_unpeeled(ops, dim, p)
         t = rng.randrange(1, len(ops) + 1)
-        joint_kernel(ops[:t], dim, p)
-        prefix = seen[-1]
+        prefix = peel(ops[:t], dim, p)[0]
         for grade in (None, [j % classes for j in range(dim)]):
-            tables = [_LoggedTable(op) for op in ops]
-            assert joint_kernel(tables, dim, p, grade, prefix) == want
-            assert all(set(table.read) <= set(prefix) for table in tables)
-            logged, many = [_Logged(op) for op in ops], [_Many(op) for op in ops]
-            assert joint_kernel(logged, dim, p, grade, prefix) == want
-            assert joint_kernel(many, dim, p, grade, prefix) == want
-            assert [r.calls for r in many] == [[r.read] for r in logged]
+            for start in (None, prefix):
+                tables = [_LoggedTable(op) for op in ops]
+                assert joint_kernel(tables, dim, p, grade, start) == want
+                assert all(set(table.read) <= set(range(dim) if start is None else start) for table in tables)
+            readers = [_Logged(op) for op in ops]
+            assert joint_kernel(readers, dim, p, grade, prefix) == want
+            assert [r.calls for r in readers] == [[peel(ops[:s], dim, p, prefix)[0]] for s in range(len(ops))]
 
 
 def test_span_closure_cyclic():

@@ -1715,10 +1715,10 @@ def test_sweep_rows_over_levi_heads_straighten_nothing(monkeypatch):
     "typ, rank, p, I, lam",
     [("A", 3, 7, (1,), (0, 1, 2)), ("A", 2, 13, (1,), (0, 10))],
 )
-def test_a_row_over_a_levi_head_makes_one_x_table(monkeypatch, typ, rank, p, I, lam):
-    # is_irreducible makes the table of the first Levi x_j alone; every
-    # other x_i is joined per column where the peel leaves columns live,
-    # each column once, and the slot x_i at fewer columns than dim
+def test_a_row_over_a_levi_head_makes_no_x_table(monkeypatch, typ, rank, p, I, lam):
+    # a cold is_irreducible makes no x table: the Levi x_j are joined at
+    # the columns their peel leaves live, the first at every index, then
+    # each again at the kept L0, and the slot x_i at L0 alone
     reads = {}
     join = modules.InducedModule._join
 
@@ -1737,25 +1737,28 @@ def test_a_row_over_a_levi_head_makes_one_x_table(monkeypatch, typ, rank, p, I, 
     assert mod.levi.dim > 1
     reads.clear()
     assert is_irreducible(mod).irreducible
-    levi_x, slot_x = ("x", alg.rs.simple(2)), ("x", alg.rs.simple(1))
-    assert [key for key in mod._cols if key[0] == "x"] == [levi_x]
-    assert sorted(reads[levi_x]) == list(range(mod.dim))
-    x_reads = {key: cols for key, cols in reads.items() if key[0] == "x" and key != levi_x}
-    assert slot_x in x_reads and len(x_reads) == rank - 1
-    for cols in x_reads.values():
-        assert len(set(cols)) == len(cols) < mod.dim
-    assert 0 < len(x_reads[slot_x]) < mod.dim
+    assert [key for key in mod._cols if key[0] == "x"] == []
+    ((kept,),) = [alg.levi_peels.values()]
+    kept, n = list(kept), len(kept)
+    assert 0 < n < mod.dim
+    levi = [("x", alg.rs.simple(i)) for i in range(2, rank + 1)]
+    assert sorted(key for key in reads if key[0] == "x") == sorted(levi + [("x", alg.rs.simple(1))])
+    assert reads[levi[0]] == list(range(mod.dim)) + kept
+    for key in levi[1:]:
+        live = reads[key][:-n]
+        assert live == sorted(set(live)) and set(kept) <= set(live) and len(live) < mod.dim
+        assert reads[key][-n:] == kept
+    assert reads[("x", alg.rs.simple(1))] == kept
 
 
 # ---- the Levi x_j's peel, kept per head ----
 
 
-def _kernel_starts(monkeypatch):
-    # per joint_kernel call of maximal_vectors: the columns it starts from
-    starts, jk = [], modules.joint_kernel
-    monkeypatch.setattr(modules, "joint_kernel",
-                        lambda ops, *a: starts.append(a[3]) or jk(ops, *a))
-    return starts
+def _levi_peels_made(monkeypatch):
+    # the dim of each module whose raising_ops peels the Levi x_j to keep L0
+    made, cold = [], modules.peel
+    monkeypatch.setattr(modules, "peel", lambda ops, dim, p: made.append(dim) or cold(ops, dim, p))
+    return made
 
 
 def _levi_part(mod):
@@ -1766,11 +1769,11 @@ def _levi_part(mod):
 
 def test_kept_levi_peels_give_the_cold_vectors(monkeypatch):
     # maximal_vectors cold, where the first row over each head peels the
-    # Levi x_j table and keeps L0, and warm, where every row over a head of
-    # dim > 1 starts at L0: equal to each other and to the per-class oracle.
-    # Each LEVI_HEAD_CASES module, and every row of three sweep families,
-    # twice on one algebra; rows over one head share one entry
-    starts = _kernel_starts(monkeypatch)
+    # Levi x_j alone and keeps L0, and warm, where no row peels them alone:
+    # equal to each other and to the per-class oracle.  Each
+    # LEVI_HEAD_CASES module, and every row of three sweep families, twice
+    # on one algebra; rows over one head share one entry
+    made = _levi_peels_made(monkeypatch)
     families = [[case] for case in LEVI_HEAD_CASES] + [
         [(typ, rank, False, p, I, lam) for lam in RootSystem(typ, rank).regular_alcove_weights(p)]
         for typ, rank, p, I in [("A", 2, 11, (1,)), ("A", 3, 5, (1,)), ("C", 2, 7, (1,))]
@@ -1782,17 +1785,16 @@ def test_kept_levi_peels_give_the_cold_vectors(monkeypatch):
         runs = []
         for warm in (False, True):
             mods = [build_parabolic_baby_verma(alg, _chi(alg, p, I), lam) for *_, lam in family]
-            del starts[:]  # the heads' own checks
+            del made[:]  # the heads' own checks
             runs.append([maximal_vectors(mod) for mod in mods])
             heads = {_levi_part(mod) for mod in mods if mod.levi.dim > 1}
             assert len(alg.levi_peels) == len(heads) > 0
-            started = [start is not None for mod, start in zip(mods, starts) if mod.levi.dim > 1]
-            assert started.count(False) == (0 if warm else len(heads))
+            assert len(made) == (0 if warm else len(heads))
         assert runs[0] == runs[1]
         for mod, got in zip(mods, runs[1]):
             want = maximal_vectors_per_class(mod)
             assert got == want and list(got) == list(want)
-        over_heads += len(started)
+        over_heads += sum(mod.levi.dim > 1 for mod in mods)
     assert over_heads == len(LEVI_HEAD_CASES) + 36 + 2 + 2
 
 
@@ -1895,16 +1897,16 @@ def test_a_kept_peel_joins_once_per_rank(monkeypatch, typ, rank, p, I, lams):
 
 
 def test_many_reads_the_columns_get_reads():
-    # every x_i reader that raising_ops hands over with many gives, at
-    # ascending indices, the nonempty columns get gives there: on a miss at
-    # every index and at every third, on a hit at the kept L0.  Each
+    # every x_i's joined reader gives through many, at ascending indices,
+    # the nonempty columns get gives there: at every index and at every
+    # third, and the readers raising_ops hands over at the kept L0.  Each
     # LEVI_HEAD_CASES module twice on one algebra, and every A2 p=11 I={1}
     # row over a head of dim > 1
     a2 = RootSystem("A", 2)
     families = [[case, case] for case in LEVI_HEAD_CASES] + [
         [("A", 2, False, 11, (1,), lam) for lam in a2.regular_alcove_weights(11)]
     ]
-    checked = {False: 0, True: 0}
+    checked = 0
     for family in families:
         typ, rank, flip, p, I, _ = family[0]
         alg = ChevalleyAlgebra(RootSystem(typ, rank), sign_flip=flip)
@@ -1912,15 +1914,15 @@ def test_many_reads_the_columns_get_reads():
             mod = build_parabolic_baby_verma(alg, _chi(alg, p, I), lam)
             if mod.levi.dim == 1:
                 continue
-            ops, cols, _ = mod.raising_ops()
-            starts = [cols] if cols is not None else [range(mod.dim), range(0, mod.dim, 3)]
-            for op in ops:
-                if hasattr(op, "many"):
-                    for js in starts:
-                        assert op.many(js) == {j: col for j in js if (col := op.get(j))}
-                    checked[cols is not None] += 1
+            xs = [("x", mod.rs.simple(i)) for i in mod.active]
+            readers = [(mod._joined(key), js) for key in xs for js in (range(mod.dim), range(0, mod.dim, 3))]
+            ops, cols = mod.raising_ops()
+            readers += [(op, cols) for op in ops if hasattr(op, "many")]
+            for op, js in readers:
+                assert op.many(js) == {j: col for j in js if (col := op.get(j))}
+            checked += len(readers)
             maximal_vectors(mod)
-    assert checked[False] > 0 and checked[True] > 0
+    assert checked > 0
 
 
 class _Unreduced:
